@@ -100,8 +100,8 @@ pub fn table1_benchmarks() -> Vec<Benchmark> {
 /// The dense stress workload **Synthetic5**: 100 operations on a
 /// 10/5/5/4 allocation — twice the paper's largest rung. Deliberately not
 /// part of [`table1_benchmarks`] (Table I stops at 50 operations); `mfb
-/// bench` runs it as a separate congestion axis where the negotiated
-/// router's routability matters.
+/// bench` runs it as a separate congestion axis where the router's
+/// routability matters.
 pub fn dense_benchmark() -> Benchmark {
     Benchmark {
         name: "Synthetic5",

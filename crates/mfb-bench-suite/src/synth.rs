@@ -219,9 +219,8 @@ pub fn table1_synthetic(index: u32) -> SequencingGraph {
 }
 
 /// The dense stress assay **Synthetic5**: 100 operations, twice the paper's
-/// largest workload. Not part of Table I — it extends the suite so routers
-/// can be compared on a rung where channel congestion actually bites (the
-/// negotiated router proves its routability there). Seeded like its Table-I
+/// largest workload. Not part of Table I — it extends the suite with a rung
+/// where channel congestion actually bites. Seeded like its Table-I
 /// siblings, so every run sees the identical graph.
 ///
 /// The depth is pinned at 19 layers: shallower DAGs pack so much

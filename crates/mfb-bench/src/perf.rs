@@ -15,8 +15,8 @@
 //! kernels. Two extra axes measure what the rows exclude: [`TemperedPerf`]
 //! times the parallel-tempering annealer (`chains` replicas under the
 //! ambient `MFB_THREADS` fan-out, CI pins 8) against its frozen serial
-//! reference, and [`DenseRoutePerf`] runs the 100-op Synthetic5 rung where
-//! the negotiated-congestion router's routability is the product.
+//! reference, and [`DenseRoutePerf`] times the serial conflict-aware router
+//! on the 100-op Synthetic5 rung, where routability is the product.
 
 use std::time::Instant as WallClock; // the model prelude has its own Instant
 
@@ -76,9 +76,6 @@ pub struct PerfRow {
     pub window_retries: u64,
     /// Rip-up evictions performed by one routing run.
     pub rips: u64,
-    /// Negotiation sweeps run (0: the row kernel is the DCSA router; the
-    /// negotiated router is timed on the [`DenseRoutePerf`] axis).
-    pub negotiation_iters: u64,
     /// Worker threads the row's kernels ran under. Always 1: the kernel
     /// rows are timed serially by design (see the module docs); the
     /// multi-thread axis is [`TemperedPerf`].
@@ -109,8 +106,8 @@ pub struct TemperedPerf {
 
 /// The dense routability axis: the 100-op Synthetic5 rung, where channel
 /// congestion concentrates on the fixed-size component access rings and
-/// the negotiated-congestion router has to resolve it. Routability here is
-/// the product; the wall times are tracked alongside for regressions.
+/// the conflict-aware router has to resolve it. Routability here is the
+/// product; the wall time is tracked alongside for regressions.
 #[derive(Debug, Clone, Serialize)]
 pub struct DenseRoutePerf {
     /// The dense benchmark's name (`"Synthetic5"`).
@@ -119,22 +116,15 @@ pub struct DenseRoutePerf {
     pub ops: usize,
     /// Transport tasks routed.
     pub transports: usize,
-    /// Cells of the grid both routers were timed on.
+    /// Cells of the grid the router was timed on.
     pub grid_cells: u64,
-    /// Whether the negotiated router routes the rung (the acceptance bar).
-    pub negotiated_ok: bool,
-    /// Whether serial DCSA routes the same grid.
+    /// Whether serial DCSA routes the rung (the acceptance bar).
     pub dcsa_ok: bool,
-    /// Negotiated-congestion routing wall time.
-    pub negotiated_ms: f64,
-    /// Serial DCSA routing wall time on the same inputs.
+    /// Serial DCSA routing wall time.
     pub dcsa_ms: f64,
-    /// Negotiation sweeps the negotiated run needed.
-    pub negotiation_iters: u64,
-    /// Parked-path window retries of the negotiated run.
+    /// Parked-path window retries of the DCSA run.
     pub window_retries: u64,
-    /// Rip-up evictions of the negotiated run (non-zero only when it had
-    /// to fall back to the serial conflict-aware router).
+    /// Rip-up evictions of the DCSA run.
     pub rips: u64,
 }
 
@@ -339,7 +329,6 @@ pub fn perf_report(repeats: u32) -> PerfReport {
                 astar_expansions_per_sec: rate(route_stats.expansions, route_s),
                 window_retries: route_stats.window_retries,
                 rips: route_stats.rips,
-                negotiation_iters: route_stats.negotiation_iters,
                 kernel_threads: 1,
             }
         })
@@ -429,8 +418,8 @@ fn tempered_perf(repeats: u32, benchmark: &str) -> TemperedPerf {
     }
 }
 
-/// Times the negotiated-congestion router against serial DCSA on the dense
-/// Synthetic5 rung, on the smallest recovery-ladder grid DCSA routes.
+/// Times serial DCSA on the dense Synthetic5 rung, on the smallest
+/// recovery-ladder grid it routes.
 fn dense_perf(repeats: u32) -> DenseRoutePerf {
     let lib = ComponentLibrary::default();
     let wash = LogLinearWash::paper_calibrated();
@@ -441,53 +430,32 @@ fn dense_perf(repeats: u32) -> DenseRoutePerf {
     let s = schedule(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa())
         .expect("Synthetic5 schedules");
     let nets = NetList::build(&s, &b.graph, &wash, 0.6, 0.4);
-    let (grid, dcsa_ladder_ok) =
-        routable_grid(&comps, &nets, &sa_cfg, &s, &b.graph, &wash, &router_cfg);
+    let (grid, _) = routable_grid(&comps, &nets, &sa_cfg, &s, &b.graph, &wash, &router_cfg);
     let p = place_sa(&comps, &nets, grid, &sa_cfg).expect("Synthetic5 places on its ladder grid");
 
-    let mut negotiated_ok = false;
-    let mut dcsa_ok = dcsa_ladder_ok;
     let mut stats = SearchStats::default();
-    let (neg_s, dcsa_s, ()) = best_of_pair(
-        repeats,
-        || {
-            let mut scratch = SearchScratch::new();
-            negotiated_ok = route_negotiated_with_scratch(
-                &s,
-                &b.graph,
-                &p,
-                &wash,
-                &router_cfg,
-                &DefectMap::pristine(),
-                &mut scratch,
-            )
-            .is_ok();
-            stats = scratch.stats;
-        },
-        || {
-            let mut scratch = SearchScratch::new();
-            dcsa_ok = route_dcsa_with_scratch(
-                &s,
-                &b.graph,
-                &p,
-                &wash,
-                &router_cfg,
-                &DefectMap::pristine(),
-                &mut scratch,
-            )
-            .is_ok();
-        },
-    );
+    let (dcsa_s, dcsa_ok) = best_of(repeats, || {
+        let mut scratch = SearchScratch::new();
+        let ok = route_dcsa_with_scratch(
+            &s,
+            &b.graph,
+            &p,
+            &wash,
+            &router_cfg,
+            &DefectMap::pristine(),
+            &mut scratch,
+        )
+        .is_ok();
+        stats = scratch.stats;
+        ok
+    });
     DenseRoutePerf {
         benchmark: b.name.to_string(),
         ops: b.graph.len(),
         transports: s.transports().count(),
         grid_cells: u64::from(grid.width) * u64::from(grid.height),
-        negotiated_ok,
         dcsa_ok,
-        negotiated_ms: ms(neg_s),
         dcsa_ms: ms(dcsa_s),
-        negotiation_iters: stats.negotiation_iters,
         window_retries: stats.window_retries,
         rips: stats.rips,
     }
@@ -574,15 +542,11 @@ pub fn perf_text(report: &PerfReport) -> String {
     let d = &report.dense;
     let _ = writeln!(
         out,
-        "dense ({}, {} ops, {} transports, {} cells): negotiated {:.2} ms \
-         ({} sweeps){}, dcsa {:.2} ms{}",
+        "dense ({}, {} ops, {} transports, {} cells): dcsa {:.2} ms{}",
         d.benchmark,
         d.ops,
         d.transports,
         d.grid_cells,
-        d.negotiated_ms,
-        d.negotiation_iters,
-        if d.negotiated_ok { "" } else { " UNROUTABLE" },
         d.dcsa_ms,
         if d.dcsa_ok { "" } else { " UNROUTABLE" }
     );
@@ -638,7 +602,6 @@ mod tests {
         assert_eq!(r.tempered.chains, 8);
         assert!(r.tempered.threads >= 1);
         assert!(r.tempered.sa_speedup > 0.0);
-        assert!(r.dense.negotiated_ok, "Synthetic5 must route negotiated");
         assert!(r.dense.dcsa_ok, "Synthetic5 ladder grid must route serial");
         assert!(r.dense.transports > 0);
         assert_eq!(r.batch.jobs, 2 * r.rows.len());

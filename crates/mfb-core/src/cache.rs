@@ -217,7 +217,7 @@ struct CacheState {
 /// The shared content-addressed stage cache. See the [module docs](self).
 ///
 /// Create one per batch (or reuse across calls for a warm cache) and pass
-/// it to [`Synthesizer::synthesize_cached`](crate::flow::Synthesizer::synthesize_cached)
+/// it to [`Synthesizer::synthesize_with`](crate::flow::Synthesizer::synthesize_with)
 /// or the resilient driver. Entries live until the cache is dropped.
 pub struct StageCache {
     state: Mutex<CacheState>,
@@ -637,7 +637,6 @@ impl BaseKeys {
                 h.write_str("constructive");
                 write_spacing(&mut h, SpacingParams::default_routing());
             }
-            PlacementStrategy::ForceDirected => h.write_str("force-directed"),
         }
         h.finish()
     }
@@ -658,18 +657,10 @@ impl BaseKeys {
         h.write_str(match cfg.routing {
             RoutingStrategy::ConflictAware => "conflict-aware",
             RoutingStrategy::ConstructionByCorrection => "corrected",
-            RoutingStrategy::Negotiated => "negotiated",
         });
         h.write_u64(cfg.router.w_e.as_ticks());
         h.write_bool(cfg.router.wash_aware_weights);
         h.write_u32(cfg.router.plug_cells);
-        if cfg.routing == RoutingStrategy::Negotiated {
-            // Negotiation inputs: a different penalty schedule can converge
-            // on a different routing, so it must be a different key.
-            h.write_u32(cfg.router.negotiation.max_iters);
-            h.write_u64(cfg.router.negotiation.present_step_ticks);
-            h.write_u64(cfg.router.negotiation.history_step_ticks);
-        }
         h.finish()
     }
 

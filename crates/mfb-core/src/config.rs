@@ -13,9 +13,6 @@ pub enum PlacementStrategy {
     SimulatedAnnealing,
     /// Greedy constructive placement (the baseline's construction step).
     Constructive,
-    /// Deterministic force-directed placement (weighted-centroid
-    /// iteration) — an annealing-free alternative with no seed.
-    ForceDirected,
 }
 
 /// Which routing algorithm the flow uses.
@@ -27,12 +24,6 @@ pub enum RoutingStrategy {
     /// Construction-by-correction (the baseline: route blind, then fix by
     /// re-routing or postponing, possibly delaying the assay).
     ConstructionByCorrection,
-    /// PathFinder-style negotiated congestion: parallel soft-cost sweeps
-    /// with rising present/history penalties, falling back to
-    /// [`ConflictAware`](Self::ConflictAware) when negotiation does not
-    /// converge — never delays the schedule, never less routable than the
-    /// conflict-aware router.
-    Negotiated,
 }
 
 /// Configuration of the complete top-down synthesis flow.

@@ -1,9 +1,10 @@
 //! The top-down synthesis flow: scheduling → placement → routing, with
 //! routing-feedback placement retries.
 
-use crate::cache::{BaseKeys, StageCache, StageCtx};
-use crate::config::{PlacementStrategy, RoutingStrategy, SynthesisConfig};
+use crate::cache::{BaseKeys, StageCache};
+use crate::config::SynthesisConfig;
 use crate::error::SynthesisError;
+use crate::pipeline::{grown_grid, scheduler_config, speculate, Stages};
 use mfb_analyze::prelude::{AnalysisInput, Analyzer};
 use mfb_model::hash::ContentHash;
 use mfb_model::prelude::*;
@@ -12,6 +13,7 @@ use mfb_route::prelude::*;
 use mfb_sched::prelude::*;
 use mfb_sim::prelude::{replay, SimReport};
 use mfb_verify::prelude::{RuleRegistry, VerifyInput, VerifyReport};
+use std::ops::ControlFlow;
 
 /// A complete flow-layer physical design for one bioassay.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -220,11 +222,18 @@ impl Synthesizer {
         wash: &dyn WashModel,
         defects: &DefectMap,
     ) -> Result<Solution, SynthesisError> {
-        self.synthesize_inner(graph, components, wash, defects, None, &Budget::unlimited())
+        self.synthesize_with(graph, components, wash, defects, None, &Budget::unlimited())
     }
 
     /// The fully general entry point: any defect map, an optional shared
     /// [`StageCache`], and an execution [`Budget`].
+    ///
+    /// Through a cache, every stage result is looked up by the content hash
+    /// of its inputs (the defect map included) before being computed, so
+    /// repeated synthesis of related jobs — the same assay with a perturbed
+    /// seed, ladder rungs reusing a schedule, a warm batch — skips unchanged
+    /// stages. Cached results, and cached errors, are byte-identical to
+    /// uncached synthesis.
     ///
     /// The budget is polled at stage boundaries and inside the placement
     /// and routing inner loops (the annealer once per temperature epoch,
@@ -247,63 +256,107 @@ impl Synthesizer {
         cache: Option<&StageCache>,
         budget: &Budget,
     ) -> Result<Solution, SynthesisError> {
-        self.synthesize_inner(graph, components, wash, defects, cache, budget)
-    }
+        let _flow_span = mfb_obs::obs_span!(
+            "flow.synthesize",
+            ops = graph.ops().count() as u64,
+            components = components.len() as u64,
+            cached = cache.is_some(),
+        );
+        let cfg = &self.config;
+        let stages = Stages::new(cfg, graph, components, wash, defects, cache, budget);
+        budget.check().map_err(SynthesisError::from)?;
+        let (schedule, schedule_h) = {
+            let _span = mfb_obs::obs_span!("stage.schedule");
+            stages.schedule(cfg.t_c)?
+        };
+        budget.check().map_err(SynthesisError::from)?;
+        let (netlist, netlist_key) = {
+            let _span = mfb_obs::obs_span!("stage.netlist");
+            stages.netlist(&schedule, schedule_h)
+        };
 
-    /// [`synthesize`](Synthesizer::synthesize) through a shared
-    /// [`StageCache`]: every stage result is looked up by the content hash
-    /// of its inputs before being computed, so repeated synthesis of
-    /// related jobs (same assay with a perturbed seed, ladder rungs reusing
-    /// a schedule, a warm batch) skips unchanged stages entirely. Cached
-    /// results are byte-identical to uncached synthesis.
-    ///
-    /// # Errors
-    ///
-    /// Any stage error; see [`SynthesisError`]. Errors are cached and
-    /// replayed identically too.
-    pub fn synthesize_cached(
-        &self,
-        graph: &SequencingGraph,
-        components: &ComponentSet,
-        wash: &dyn WashModel,
-        cache: &StageCache,
-    ) -> Result<Solution, SynthesisError> {
-        self.synthesize_inner(
-            graph,
-            components,
-            wash,
-            &DefectMap::pristine(),
-            Some(cache),
-            &Budget::unlimited(),
-        )
-    }
+        let base_grid = cfg.grid.unwrap_or_else(|| auto_grid(components));
+        let attempts = cfg.max_placement_attempts.max(1);
 
-    /// [`synthesize_cached`](Synthesizer::synthesize_cached) on a damaged
-    /// chip — the defect map participates in every cache key.
-    ///
-    /// # Errors
-    ///
-    /// Any stage error; see [`SynthesisError`].
-    pub fn synthesize_cached_with_defects(
-        &self,
-        graph: &SequencingGraph,
-        components: &ComponentSet,
-        wash: &dyn WashModel,
-        defects: &DefectMap,
-        cache: &StageCache,
-    ) -> Result<Solution, SynthesisError> {
-        self.synthesize_inner(
-            graph,
-            components,
-            wash,
-            defects,
-            Some(cache),
-            &Budget::unlimited(),
-        )
+        // One place-and-route attempt: a pure function of the attempt index
+        // (the SA seed and grid growth derive from it), so attempts can run
+        // in any order — or concurrently — without changing any result.
+        let attempt_once =
+            |attempt: u32| -> Result<(Placement, Routing, ContentHash), AttemptError> {
+                // Grow the grid every eighth attempt.
+                let grid = grown_grid(base_grid, attempt / 8);
+                budget.check().map_err(AttemptError::Interrupt)?;
+                let seed = cfg.sa.seed.wrapping_add(u64::from(attempt));
+                let (placement, place_h) = {
+                    let _span = mfb_obs::obs_span!("stage.place", attempt = attempt, seed = seed);
+                    stages
+                        .place(&netlist, netlist_key, grid, seed)
+                        .map_err(AttemptError::Place)?
+                };
+                let _route_span = mfb_obs::obs_span!("stage.route", attempt = attempt);
+                let (routed, route_key) = stages.route(&schedule, schedule_h, &placement, place_h);
+                match routed {
+                    Ok(routing) => Ok((placement, routing, route_key)),
+                    Err(e) => Err(AttemptError::Route(e)),
+                }
+            };
+
+        // The first success in attempt order wins; results are consumed in
+        // that order, so which attempt wins, which error surfaces and the
+        // exact `attempts` count are independent of `MFB_THREADS`.
+        let mut last_route_err = None;
+        let stop = speculate(
+            attempts,
+            budget,
+            attempt_once,
+            |attempt, result| match result {
+                Ok(won) => ControlFlow::Break(Ok((attempt, won))),
+                // A budget interrupt in any stage of any attempt ends the whole
+                // run with the flow-level typed error — later attempts would
+                // only trip the same checkpoint.
+                Err(AttemptError::Interrupt(why))
+                | Err(AttemptError::Place(PlaceError::Interrupted(why)))
+                | Err(AttemptError::Route(RouteError::Interrupted(why))) => {
+                    ControlFlow::Break(Err(why.into()))
+                }
+                Err(AttemptError::Place(e)) => ControlFlow::Break(Err(e.into())),
+                // A placement-independent routing error (e.g. a schedule the
+                // router cannot account for) reproduces identically on every
+                // placement — return it now instead of burning the remaining
+                // attempt budget on a foregone conclusion.
+                Err(AttemptError::Route(e)) if route_error_is_placement_independent(&e) => {
+                    ControlFlow::Break(Err(SynthesisError::Route {
+                        last: e,
+                        attempts: attempt + 1,
+                    }))
+                }
+                Err(AttemptError::Route(e)) => {
+                    last_route_err = Some(e);
+                    ControlFlow::Continue(())
+                }
+            },
+        )?;
+        let (attempt, (placement, mut routing, route_key)) = match (stop, last_route_err) {
+            (Some(stop), _) => stop?,
+            (None, Some(last)) => return Err(SynthesisError::Route { last, attempts }),
+            (None, None) => unreachable!("attempts >= 1 and every attempt records or stops"),
+        };
+        budget.check().map_err(SynthesisError::from)?;
+        if cfg.optimize_channels {
+            let _span = mfb_obs::obs_span!("stage.optimize");
+            routing = stages.optimize(&routing, &schedule, &placement, route_key);
+        }
+        Ok(Solution {
+            schedule,
+            netlist,
+            placement,
+            routing,
+            attempts: attempt + 1,
+        })
     }
 
     /// Runs only the scheduling and netlist stages, leaving their results
-    /// in `cache` for a later [`synthesize_cached`](Synthesizer::synthesize_cached)
+    /// in `cache` for a later cached [`synthesize_with`](Synthesizer::synthesize_with)
     /// to pick up warm. This is the "stage A" of the pipelined batch
     /// executor: scheduling of job *i+1* overlaps placement and routing of
     /// job *i*.
@@ -320,18 +373,18 @@ impl Synthesizer {
         defects: &DefectMap,
         cache: &StageCache,
     ) -> Result<(), SynthesisError> {
-        let cfg = &self.config;
-        let sched_cfg = SchedulerConfig {
-            t_c: cfg.t_c,
-            rule: cfg.binding,
-        };
-        let ctx = StageCtx::new(Some(cache), graph, components, wash, defects);
-        let (schedule, schedule_h) = ctx.schedule(&sched_cfg, graph, components, || {
-            schedule_with_defects(graph, components, wash, &sched_cfg, defects)
-        })?;
-        ctx.netlist(schedule_h, cfg.beta, cfg.gamma, || {
-            NetList::build(&schedule, graph, wash, cfg.beta, cfg.gamma)
-        });
+        let budget = Budget::unlimited();
+        let stages = Stages::new(
+            &self.config,
+            graph,
+            components,
+            wash,
+            defects,
+            Some(cache),
+            &budget,
+        );
+        let (schedule, schedule_h) = stages.schedule(self.config.t_c)?;
+        stages.netlist(&schedule, schedule_h);
         Ok(())
     }
 
@@ -346,225 +399,8 @@ impl Synthesizer {
         wash: &dyn WashModel,
         defects: &DefectMap,
     ) -> ContentHash {
-        let sched_cfg = SchedulerConfig {
-            t_c: self.config.t_c,
-            rule: self.config.binding,
-        };
-        BaseKeys::new(graph, components, wash, defects).schedule_key(&sched_cfg)
-    }
-
-    fn synthesize_inner(
-        &self,
-        graph: &SequencingGraph,
-        components: &ComponentSet,
-        wash: &dyn WashModel,
-        defects: &DefectMap,
-        cache: Option<&StageCache>,
-        budget: &Budget,
-    ) -> Result<Solution, SynthesisError> {
-        let _flow_span = mfb_obs::obs_span!(
-            "flow.synthesize",
-            ops = graph.ops().count() as u64,
-            components = components.len() as u64,
-            cached = cache.is_some(),
-        );
-        let cfg = &self.config;
-        let sched_cfg = SchedulerConfig {
-            t_c: cfg.t_c,
-            rule: cfg.binding,
-        };
-        let ctx = StageCtx::new(cache, graph, components, wash, defects);
-        budget.check().map_err(SynthesisError::from)?;
-        let (schedule, schedule_h) = {
-            let _span = mfb_obs::obs_span!("stage.schedule");
-            ctx.schedule(&sched_cfg, graph, components, || {
-                schedule_with_defects(graph, components, wash, &sched_cfg, defects)
-            })?
-        };
-        budget.check().map_err(SynthesisError::from)?;
-        let (netlist, netlist_key) = {
-            let _span = mfb_obs::obs_span!("stage.netlist");
-            ctx.netlist(schedule_h, cfg.beta, cfg.gamma, || {
-                NetList::build(&schedule, graph, wash, cfg.beta, cfg.gamma)
-            })
-        };
-
-        let base_grid = cfg.grid.unwrap_or_else(|| auto_grid(components));
-        let attempts = cfg.max_placement_attempts.max(1);
-
-        // One place-and-route attempt: a pure function of the attempt index
-        // (the SA seed and grid growth derive from it), so attempts can run
-        // in any order — or concurrently — without changing any result.
-        let attempt_once =
-            |attempt: u32| -> Result<(Placement, Routing, ContentHash), AttemptError> {
-                // Grow the grid every eighth attempt (4/3 linear each step),
-                // capped so the factor arithmetic cannot overflow however large
-                // the caller sets `max_placement_attempts`.
-                let growth = (attempt / 8).min(8);
-                let side = |s: u32| {
-                    let grown = u64::from(s) * 4u64.pow(growth) / 3u64.pow(growth);
-                    (grown.min(u64::from(u32::MAX)) as u32).max(s)
-                };
-                let grid = GridSpec::new(
-                    side(base_grid.width),
-                    side(base_grid.height),
-                    base_grid.pitch_mm,
-                );
-
-                budget.check().map_err(AttemptError::Interrupt)?;
-                let seed = cfg.sa.seed.wrapping_add(u64::from(attempt));
-                let (placement, place_h) = {
-                    let _span = mfb_obs::obs_span!("stage.place", attempt = attempt, seed = seed);
-                    ctx.place(netlist_key, grid, cfg, seed, || match cfg.placement {
-                        PlacementStrategy::SimulatedAnnealing => {
-                            // Delegates to the plain single-chain loop when
-                            // `cfg.sa.chains <= 1` (the paper configuration).
-                            let sa = SaConfig { seed, ..cfg.sa };
-                            place_sa_tempered_budgeted(
-                                components, &netlist, grid, &sa, defects, budget,
-                            )
-                            .map(|(p, _)| p)
-                        }
-                        PlacementStrategy::Constructive => place_constructive_with_defects(
-                            components,
-                            &netlist,
-                            grid,
-                            SpacingParams::default_routing(),
-                            defects,
-                        ),
-                        PlacementStrategy::ForceDirected => {
-                            place_force_directed_with_defects(components, &netlist, grid, defects)
-                        }
-                    })
-                    .map_err(AttemptError::Place)?
-                };
-
-                let _route_span = mfb_obs::obs_span!("stage.route", attempt = attempt);
-                let (routed, route_key) =
-                    ctx.route(schedule_h, place_h, cfg, || match cfg.routing {
-                        RoutingStrategy::ConflictAware => {
-                            let mut scratch = SearchScratch::new();
-                            route_dcsa_budgeted(
-                                &schedule,
-                                graph,
-                                &placement,
-                                wash,
-                                &cfg.router,
-                                defects,
-                                &mut scratch,
-                                budget,
-                            )
-                        }
-                        RoutingStrategy::ConstructionByCorrection => route_corrected_with_defects(
-                            &schedule,
-                            graph,
-                            &placement,
-                            wash,
-                            &cfg.router,
-                            defects,
-                        ),
-                        RoutingStrategy::Negotiated => {
-                            let mut scratch = SearchScratch::new();
-                            route_negotiated_budgeted(
-                                &schedule,
-                                graph,
-                                &placement,
-                                wash,
-                                &cfg.router,
-                                defects,
-                                &mut scratch,
-                                budget,
-                            )
-                        }
-                    });
-                match routed {
-                    Ok(routing) => Ok((placement, routing, route_key)),
-                    Err(e) => Err(AttemptError::Route(e)),
-                }
-            };
-
-        // Attempt 0 runs alone (the common case routes first try); retry
-        // batches then fan out across threads. Results are consumed in
-        // attempt order, so the outcome — which attempt wins, which error
-        // surfaces, the exact `attempts` count — is byte-identical to the
-        // serial loop regardless of `MFB_THREADS`.
-        let batch = mfb_model::par::thread_limit().max(1) as u32;
-        let mut last_route_err = None;
-        let mut chosen: Option<(u32, Placement, Routing, ContentHash)> = None;
-        let mut start = 0u32;
-        'search: while start < attempts {
-            budget.check().map_err(SynthesisError::from)?;
-            let chunk = if start == 0 {
-                1
-            } else {
-                (attempts - start).min(batch)
-            };
-            let results =
-                mfb_model::par::par_map_ordered(chunk as usize, |k| attempt_once(start + k as u32));
-            for (k, res) in results.into_iter().enumerate() {
-                let attempt = start + k as u32;
-                match res {
-                    Ok((placement, routing, route_key)) => {
-                        chosen = Some((attempt, placement, routing, route_key));
-                        break 'search;
-                    }
-                    // A budget interrupt in any stage of any attempt ends the
-                    // whole run with the flow-level typed error — later
-                    // attempts would only trip the same checkpoint.
-                    Err(AttemptError::Interrupt(why)) => return Err(why.into()),
-                    Err(AttemptError::Place(PlaceError::Interrupted(why))) => {
-                        return Err(why.into());
-                    }
-                    Err(AttemptError::Route(RouteError::Interrupted(why))) => {
-                        return Err(why.into());
-                    }
-                    Err(AttemptError::Place(e)) => return Err(e.into()),
-                    // A placement-independent routing error (e.g. a schedule
-                    // the router cannot account for) reproduces identically
-                    // on every placement — return it now instead of burning
-                    // the remaining attempt budget on a foregone conclusion.
-                    Err(AttemptError::Route(e)) if route_error_is_placement_independent(&e) => {
-                        return Err(SynthesisError::Route {
-                            last: e,
-                            attempts: attempt + 1,
-                        });
-                    }
-                    Err(AttemptError::Route(e)) => last_route_err = Some(e),
-                }
-            }
-            start += chunk;
-        }
-
-        let Some((attempt, placement, mut routing, route_key)) = chosen else {
-            let last = match last_route_err {
-                Some(e) => e,
-                None => unreachable!("attempts >= 1 and every iteration records or returns"),
-            };
-            return Err(SynthesisError::Route { last, attempts });
-        };
-        budget.check().map_err(SynthesisError::from)?;
-        if cfg.optimize_channels {
-            let _span = mfb_obs::obs_span!("stage.optimize");
-            let optimized = ctx.optimize(route_key, || {
-                optimize_channel_length_with_defects(
-                    &routing,
-                    &schedule,
-                    graph,
-                    &placement,
-                    wash,
-                    &cfg.router,
-                    defects,
-                )
-            });
-            routing = optimized;
-        }
-        Ok(Solution {
-            schedule,
-            netlist,
-            placement,
-            routing,
-            attempts: attempt + 1,
-        })
+        BaseKeys::new(graph, components, wash, defects)
+            .schedule_key(&scheduler_config(&self.config, self.config.t_c))
     }
 }
 

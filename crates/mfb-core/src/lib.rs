@@ -61,6 +61,7 @@ pub mod config;
 pub mod error;
 pub mod flow;
 pub mod metrics;
+mod pipeline;
 pub mod recovery;
 pub mod report;
 

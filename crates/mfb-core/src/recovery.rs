@@ -30,14 +30,16 @@
 //! exhausted, the caller still receives the best partial artifacts as a
 //! [`DegradedSolution`].
 
-use crate::cache::{StageCache, StageCtx};
-use crate::config::{PlacementStrategy, RoutingStrategy, SynthesisConfig};
+use crate::cache::StageCache;
+use crate::config::SynthesisConfig;
 use crate::error::SynthesisError;
 use crate::flow::{route_error_is_placement_independent, Solution, Synthesizer};
+use crate::pipeline::{grown_grid, speculate, Stages};
 use mfb_model::prelude::*;
 use mfb_place::prelude::*;
 use mfb_route::prelude::*;
 use mfb_sched::prelude::*;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One rung of the escalation ladder.
@@ -237,43 +239,24 @@ impl Synthesizer {
         // only one lever (a fresh SA seed, a grown grid) reuse the bound
         // schedule and netlist of earlier rungs instead of recomputing
         // them, and validation runs once per distinct schedule.
-        self.synthesize_resilient_cached(
-            graph,
-            components,
-            wash,
-            defects,
-            policy,
-            &StageCache::new(),
-        )
-    }
-
-    /// [`synthesize_resilient`](Synthesizer::synthesize_resilient) through
-    /// a caller-owned [`StageCache`], so batch drivers can share warm stage
-    /// results across ladder runs. The ladder's behavior — which rungs
-    /// climb, the recorded trace, the result — is byte-identical with any
-    /// cache state; only the work skipped differs.
-    pub fn synthesize_resilient_cached(
-        &self,
-        graph: &SequencingGraph,
-        components: &ComponentSet,
-        wash: &dyn WashModel,
-        defects: &DefectMap,
-        policy: &RecoveryPolicy,
-        cache: &StageCache,
-    ) -> ResilientOutcome {
         self.synthesize_resilient_budgeted(
             graph,
             components,
             wash,
             defects,
             policy,
-            cache,
+            &StageCache::new(),
             &Budget::unlimited(),
         )
     }
 
-    /// [`synthesize_resilient_cached`](Synthesizer::synthesize_resilient_cached)
-    /// under an execution [`Budget`]. The budget is polled at every rung
+    /// [`synthesize_resilient`](Synthesizer::synthesize_resilient) through
+    /// a caller-owned [`StageCache`] and under an execution [`Budget`].
+    ///
+    /// A shared cache lets batch executors reuse warm stage results across
+    /// ladder runs; the ladder's behavior — which rungs climb, the recorded
+    /// trace, the result — is byte-identical with any cache state, only
+    /// the work skipped differs. The budget is polled at every rung
     /// boundary and inside each attempt's stages; when it trips, the ladder
     /// stops climbing and the outcome carries
     /// [`SynthesisError::DeadlineExceeded`] or
@@ -298,264 +281,213 @@ impl Synthesizer {
             components = components.len() as u64,
         );
         let cfg = self.config();
-        let base_grid = cfg.grid.unwrap_or_else(|| auto_grid(components));
-        let grown = |g: u32| -> GridSpec {
-            let g = g.min(8);
-            let side = |s: u32| {
-                let f = 4u64.pow(g);
-                let d = 3u64.pow(g);
-                ((u64::from(s) * f / d).min(u64::from(u32::MAX)) as u32).max(s)
-            };
-            GridSpec::new(
-                side(base_grid.width),
-                side(base_grid.height),
-                base_grid.pitch_mm,
-            )
+        let ladder = Ladder {
+            cfg,
+            graph,
+            components,
+            wash,
+            cache,
+            catch: policy.catch_panics,
+            budget,
         };
-        let max_grid = grown(policy.grow_steps);
+        let base_grid = cfg.grid.unwrap_or_else(|| auto_grid(components));
+        let max_grid = grown_grid(base_grid, policy.grow_steps);
 
-        let mut trace = RecoveryTrace::default();
-        let mut partial = Partial::default();
-        let mut last_err: Option<SynthesisError> = None;
+        let mut climb = Climb::default();
         let mut defects_now = defects.clone();
-        let mut attempt_no: u32 = 0;
 
         // Each rung records failures and decides whether climbing further
         // can possibly help; `break 'ladder` is the "provably hopeless"
         // exit, falling off the block end the "budgets exhausted" one.
         'ladder: {
             // ---- Rung 1: fresh seeds on the original grid. ----
-            // Attempt 0 runs alone (it usually succeeds, and a
-            // deterministic error must escalate after exactly one try);
-            // subsequent reseeds fan out in thread-sized batches. Each
-            // attempt is a pure function of its seed, and results are
+            // Each attempt is a pure function of its seed and results are
             // consumed in seed order, so the outcome and the recorded trace
             // are byte-identical to the serial rung for any `MFB_THREADS`.
-            let reseeds = policy.reseed_attempts.max(1);
-            let reseed_batch = mfb_model::par::thread_limit().max(1) as u32;
-            let mut next = 0u32;
-            'rung1: while next < reseeds {
-                if let Err(why) = budget.check() {
-                    last_err = Some(why.into());
-                    break 'ladder;
-                }
-                let chunk = if next == 0 {
-                    1
-                } else {
-                    (reseeds - next).min(reseed_batch)
-                };
-                let results = mfb_model::par::par_map_ordered(chunk as usize, |k| {
-                    let i = next + k as u32;
-                    attempt_once(
-                        cfg,
-                        graph,
-                        components,
-                        wash,
-                        base_grid,
-                        cfg.sa.seed.wrapping_add(u64::from(i)),
-                        cfg.t_c,
-                        &defects_now,
-                        cache,
-                        policy.catch_panics,
-                        i + 1,
-                        budget,
-                    )
-                });
-                for (k, (res, artifacts)) in results.into_iter().enumerate() {
-                    let i = next + k as u32;
-                    attempt_no = i + 1;
-                    let seed = cfg.sa.seed.wrapping_add(u64::from(i));
-                    partial.absorb(artifacts);
-                    match res {
-                        Ok(s) => return success(s, trace, Rung::Reseed, attempt_no),
-                        Err(e) => {
-                            record_attempt(
-                                &mut trace,
-                                RungAttempt {
-                                    rung: Rung::Reseed,
-                                    attempt: attempt_no,
-                                    detail: format!(
-                                        "seed {seed} on {}x{} grid",
-                                        base_grid.width, base_grid.height
-                                    ),
-                                    error: e.to_string(),
-                                },
-                            );
-                            let deterministic = e.is_deterministic();
-                            let fatal = globally_fatal(&e);
-                            last_err = Some(e);
-                            if fatal {
-                                break 'ladder;
-                            }
-                            if deterministic {
-                                // The seed is the only thing this rung
-                                // varies and the error does not depend on
-                                // it: escalate without burning the rest of
-                                // the budget.
-                                break 'rung1;
-                            }
+            let seed_of = |i: u32| cfg.sa.seed.wrapping_add(u64::from(i));
+            let reseeds = speculate(
+                policy.reseed_attempts.max(1),
+                budget,
+                |i| ladder.attempt(base_grid, seed_of(i), cfg.t_c, &defects_now, i + 1),
+                |i, outcome| {
+                    climb.attempt_no = i + 1;
+                    let detail = || {
+                        format!(
+                            "seed {} on {}x{} grid",
+                            seed_of(i),
+                            base_grid.width,
+                            base_grid.height
+                        )
+                    };
+                    match climb.settle(Rung::Reseed, detail, outcome) {
+                        Some(solution) => ControlFlow::Break(Some(solution)),
+                        // The seed is the only thing this rung varies: an
+                        // error that does not depend on it escalates
+                        // without burning the rest of the budget.
+                        None if climb.hopeless() || climb.deterministic() => {
+                            ControlFlow::Break(None)
                         }
+                        None => ControlFlow::Continue(()),
+                    }
+                },
+            );
+            match reseeds {
+                Ok(stop) => {
+                    if let Some(solution) = stop.flatten() {
+                        return success(solution, climb.trace, Rung::Reseed, climb.attempt_no);
                     }
                 }
-                next += chunk;
+                Err(why) => climb.last_err = Some(why.into()),
+            }
+            if climb.hopeless() {
+                break 'ladder;
             }
 
             // ---- Rung 2: grow the grid. ----
             for g in 1..=policy.grow_steps {
-                if let Err(why) = budget.check() {
-                    last_err = Some(why.into());
+                if climb.interrupted(budget) {
                     break 'ladder;
                 }
-                attempt_no += 1;
-                let grid = grown(g);
+                climb.attempt_no += 1;
+                let grid = grown_grid(base_grid, g);
                 let seed = cfg
                     .sa
                     .seed
                     .wrapping_add(u64::from(policy.reseed_attempts.max(1) + g));
-                let (res, artifacts) = attempt_once(
-                    cfg,
-                    graph,
-                    components,
-                    wash,
-                    grid,
-                    seed,
-                    cfg.t_c,
-                    &defects_now,
-                    cache,
-                    policy.catch_panics,
-                    attempt_no,
-                    budget,
-                );
-                partial.absorb(artifacts);
-                match res {
-                    Ok(s) => return success(s, trace, Rung::GrowGrid, attempt_no),
-                    Err(e) => {
-                        record_attempt(
-                            &mut trace,
-                            RungAttempt {
-                                rung: Rung::GrowGrid,
-                                attempt: attempt_no,
-                                detail: format!("grown to {}x{} grid", grid.width, grid.height),
-                                error: e.to_string(),
-                            },
-                        );
-                        let fatal = globally_fatal(&e);
-                        last_err = Some(e);
-                        if fatal {
-                            break 'ladder;
-                        }
-                    }
+                let outcome = ladder.attempt(grid, seed, cfg.t_c, &defects_now, climb.attempt_no);
+                let detail = || format!("grown to {}x{} grid", grid.width, grid.height);
+                if let Some(solution) = climb.settle(Rung::GrowGrid, detail, outcome) {
+                    return success(solution, climb.trace, Rung::GrowGrid, climb.attempt_no);
+                }
+                if climb.hopeless() {
+                    break 'ladder;
                 }
             }
 
             // ---- Rung 3: relax t_c and reschedule. ----
             for k in 1..=policy.relax_tc_steps {
-                if let Err(why) = budget.check() {
-                    last_err = Some(why.into());
+                if climb.interrupted(budget) {
                     break 'ladder;
                 }
-                attempt_no += 1;
+                climb.attempt_no += 1;
                 let t_c = cfg.t_c + Duration::from_secs(u64::from(k));
-                let (res, artifacts) = attempt_once(
-                    cfg,
-                    graph,
-                    components,
-                    wash,
-                    max_grid,
-                    cfg.sa.seed,
-                    t_c,
-                    &defects_now,
-                    cache,
-                    policy.catch_panics,
-                    attempt_no,
-                    budget,
-                );
-                partial.absorb(artifacts);
-                match res {
-                    Ok(s) => return success(s, trace, Rung::RelaxTc, attempt_no),
-                    Err(e) => {
-                        record_attempt(
-                            &mut trace,
-                            RungAttempt {
-                                rung: Rung::RelaxTc,
-                                attempt: attempt_no,
-                                detail: format!("t_c relaxed to {t_c}"),
-                                error: e.to_string(),
-                            },
-                        );
-                        let fatal = globally_fatal(&e);
-                        last_err = Some(e);
-                        if fatal {
-                            break 'ladder;
-                        }
-                    }
+                let outcome =
+                    ladder.attempt(max_grid, cfg.sa.seed, t_c, &defects_now, climb.attempt_no);
+                let detail = || format!("t_c relaxed to {t_c}");
+                if let Some(solution) = climb.settle(Rung::RelaxTc, detail, outcome) {
+                    return success(solution, climb.trace, Rung::RelaxTc, climb.attempt_no);
+                }
+                if climb.hopeless() {
+                    break 'ladder;
                 }
             }
 
             // ---- Rung 4: rebind around the implicated component. ----
             for _ in 0..policy.rebind_attempts {
-                if let Err(why) = budget.check() {
-                    last_err = Some(why.into());
+                if climb.interrupted(budget) {
                     break 'ladder;
                 }
                 let Some(victim) = implicated_component(
-                    last_err.as_ref(),
-                    partial.schedule.as_ref(),
+                    climb.last_err.as_ref(),
+                    climb.partial.schedule.as_ref(),
                     components,
                     &defects_now,
                 ) else {
                     break;
                 };
                 defects_now.kill_component(victim);
-                attempt_no += 1;
-                let (res, artifacts) = attempt_once(
-                    cfg,
-                    graph,
-                    components,
-                    wash,
+                climb.attempt_no += 1;
+                let outcome = ladder.attempt(
                     max_grid,
                     cfg.sa.seed,
                     cfg.t_c,
                     &defects_now,
-                    cache,
-                    policy.catch_panics,
-                    attempt_no,
-                    budget,
+                    climb.attempt_no,
                 );
-                partial.absorb(artifacts);
-                match res {
-                    Ok(s) => return success(s, trace, Rung::Rebind, attempt_no),
-                    Err(e) => {
-                        record_attempt(
-                            &mut trace,
-                            RungAttempt {
-                                rung: Rung::Rebind,
-                                attempt: attempt_no,
-                                detail: format!("component {victim} marked dead, rebound"),
-                                error: e.to_string(),
-                            },
-                        );
-                        let fatal = globally_fatal(&e);
-                        last_err = Some(e);
-                        if fatal {
-                            break 'ladder;
-                        }
-                    }
+                let detail = || format!("component {victim} marked dead, rebound");
+                if let Some(solution) = climb.settle(Rung::Rebind, detail, outcome) {
+                    return success(solution, climb.trace, Rung::Rebind, climb.attempt_no);
+                }
+                if climb.hopeless() {
+                    break 'ladder;
                 }
             }
         }
 
-        let last = last_err.unwrap_or(SynthesisError::StagePanic {
+        let last = climb.last_err.unwrap_or(SynthesisError::StagePanic {
             stage: "ladder",
             message: "no attempt was made".to_string(),
         });
         ResilientOutcome {
             result: Err(last),
-            trace,
+            trace: climb.trace,
             degraded: Some(DegradedSolution {
-                schedule: partial.schedule,
-                placement: partial.placement,
+                schedule: climb.partial.schedule,
+                placement: climb.partial.placement,
             }),
+        }
+    }
+}
+
+/// The ladder's running state: the failure history, the latest partial
+/// artifacts, the last error and the 1-based number of the latest attempt.
+#[derive(Default)]
+struct Climb {
+    trace: RecoveryTrace,
+    partial: Partial,
+    last_err: Option<SynthesisError>,
+    attempt_no: u32,
+}
+
+impl Climb {
+    /// Folds attempt `attempt_no`'s outcome in: its artifacts always, its
+    /// failure (described by `detail`) into the trace and `last_err`.
+    /// Returns the solution when the attempt succeeded.
+    fn settle(
+        &mut self,
+        rung: Rung,
+        detail: impl FnOnce() -> String,
+        (result, artifacts): (Result<Solution, SynthesisError>, Partial),
+    ) -> Option<Solution> {
+        self.partial.absorb(artifacts);
+        let e = match result {
+            Ok(solution) => return Some(solution),
+            Err(e) => e,
+        };
+        record_attempt(
+            &mut self.trace,
+            RungAttempt {
+                rung,
+                attempt: self.attempt_no,
+                detail: detail(),
+                error: e.to_string(),
+            },
+        );
+        self.last_err = Some(e);
+        None
+    }
+
+    /// True when the last error is an infeasibility proof no rung can fix.
+    fn hopeless(&self) -> bool {
+        self.last_err.as_ref().is_some_and(globally_fatal)
+    }
+
+    /// True when the last error does not depend on the annealing seed.
+    fn deterministic(&self) -> bool {
+        self.last_err
+            .as_ref()
+            .is_some_and(SynthesisError::is_deterministic)
+    }
+
+    /// Polls `budget` at a rung boundary, recording a trip as the last
+    /// error.
+    fn interrupted(&mut self, budget: &Budget) -> bool {
+        match budget.check() {
+            Ok(()) => false,
+            Err(why) => {
+                self.last_err = Some(why.into());
+                true
+            }
         }
     }
 }
@@ -634,174 +566,99 @@ fn implicated_component(
     (live_peers >= 1).then_some(candidate)
 }
 
-/// One full pipeline run at fixed parameters, each stage individually
-/// panic-guarded. Returns the attempt's own artifacts alongside the result
-/// (instead of mutating shared state) so attempts can run concurrently and
-/// be folded into [`Partial`] in attempt order.
-#[allow(clippy::too_many_arguments)]
-fn attempt_once(
-    cfg: &SynthesisConfig,
-    graph: &SequencingGraph,
-    components: &ComponentSet,
-    wash: &dyn WashModel,
-    grid: GridSpec,
-    seed: u64,
-    t_c: Duration,
-    defects: &DefectMap,
-    cache: &StageCache,
+/// The inputs every ladder attempt shares.
+struct Ladder<'a> {
+    cfg: &'a SynthesisConfig,
+    graph: &'a SequencingGraph,
+    components: &'a ComponentSet,
+    wash: &'a dyn WashModel,
+    cache: &'a StageCache,
     catch: bool,
-    attempt_no: u32,
-    budget: &Budget,
-) -> (Result<Solution, SynthesisError>, Partial) {
-    let mut partial = Partial::default();
-    let result = attempt_inner(
-        cfg,
-        graph,
-        components,
-        wash,
-        grid,
-        seed,
-        t_c,
-        defects,
-        cache,
-        catch,
-        attempt_no,
-        budget,
-        &mut partial,
-    );
-    // Normalize stage-level interrupts (`PlaceError::Interrupted`,
-    // `RouteError::Interrupted`) to the flow-level typed error so the
-    // ladder and the trace see one canonical shape.
-    let result = result.map_err(|e| match e.interrupt() {
-        Some(why) => why.into(),
-        None => e,
-    });
-    (result, partial)
+    budget: &'a Budget,
 }
 
-/// The `?`-friendly body of [`attempt_once`].
-#[allow(clippy::too_many_arguments)]
-fn attempt_inner(
-    cfg: &SynthesisConfig,
-    graph: &SequencingGraph,
-    components: &ComponentSet,
-    wash: &dyn WashModel,
-    grid: GridSpec,
-    seed: u64,
-    t_c: Duration,
-    defects: &DefectMap,
-    cache: &StageCache,
-    catch: bool,
-    attempt_no: u32,
-    budget: &Budget,
-    partial: &mut Partial,
-) -> Result<Solution, SynthesisError> {
-    budget.check().map_err(SynthesisError::from)?;
-    let sched_cfg = SchedulerConfig {
-        t_c,
-        rule: cfg.binding,
-    };
-    // Rebuilt per attempt because the rebind rung mutates the defect map,
-    // which participates in every stage key.
-    let ctx = StageCtx::new(Some(cache), graph, components, wash, defects);
-    let (schedule, schedule_h) = guard("schedule", catch, || {
-        ctx.schedule(&sched_cfg, graph, components, || {
-            schedule_with_defects(graph, components, wash, &sched_cfg, defects)
-        })
-        .map_err(Into::into)
-    })?;
-    partial.schedule = Some(schedule.clone());
-    let (netlist, netlist_key) = ctx.netlist(schedule_h, cfg.beta, cfg.gamma, || {
-        NetList::build(&schedule, graph, wash, cfg.beta, cfg.gamma)
-    });
-
-    let (placement, place_h) = guard("place", catch, || {
-        ctx.place(netlist_key, grid, cfg, seed, || match cfg.placement {
-            PlacementStrategy::SimulatedAnnealing => {
-                let sa = SaConfig { seed, ..cfg.sa };
-                place_sa_tempered_budgeted(components, &netlist, grid, &sa, defects, budget)
-                    .map(|(p, _)| p)
-            }
-            PlacementStrategy::Constructive => place_constructive_with_defects(
-                components,
-                &netlist,
-                grid,
-                SpacingParams::default_routing(),
-                defects,
-            ),
-            PlacementStrategy::ForceDirected => {
-                place_force_directed_with_defects(components, &netlist, grid, defects)
-            }
-        })
-        .map_err(Into::into)
-    })?;
-    partial.placement = Some(placement.clone());
-
-    let routing = guard("route", catch, || {
-        let (routed, route_key) = ctx.route(schedule_h, place_h, cfg, || match cfg.routing {
-            RoutingStrategy::ConflictAware => {
-                let mut scratch = SearchScratch::new();
-                route_dcsa_budgeted(
-                    &schedule,
-                    graph,
-                    &placement,
-                    wash,
-                    &cfg.router,
-                    defects,
-                    &mut scratch,
-                    budget,
-                )
-            }
-            RoutingStrategy::ConstructionByCorrection => route_corrected_with_defects(
-                &schedule,
-                graph,
-                &placement,
-                wash,
-                &cfg.router,
-                defects,
-            ),
-            RoutingStrategy::Negotiated => {
-                let mut scratch = SearchScratch::new();
-                route_negotiated_budgeted(
-                    &schedule,
-                    graph,
-                    &placement,
-                    wash,
-                    &cfg.router,
-                    defects,
-                    &mut scratch,
-                    budget,
-                )
-            }
+impl Ladder<'_> {
+    /// One full pipeline run at fixed parameters, each stage individually
+    /// panic-guarded. Returns the attempt's own artifacts alongside the
+    /// result (instead of mutating shared state) so attempts can run
+    /// concurrently and be folded into [`Partial`] in attempt order.
+    fn attempt(
+        &self,
+        grid: GridSpec,
+        seed: u64,
+        t_c: Duration,
+        defects: &DefectMap,
+        attempt_no: u32,
+    ) -> (Result<Solution, SynthesisError>, Partial) {
+        let mut partial = Partial::default();
+        let result = self.attempt_inner(grid, seed, t_c, defects, attempt_no, &mut partial);
+        // Normalize stage-level interrupts (`PlaceError::Interrupted`,
+        // `RouteError::Interrupted`) to the flow-level typed error so the
+        // ladder and the trace see one canonical shape.
+        let result = result.map_err(|e| match e.interrupt() {
+            Some(why) => why.into(),
+            None => e,
         });
-        let mut routing = routed.map_err(|e| SynthesisError::Route {
-            last: e,
-            attempts: attempt_no,
-        })?;
-        if cfg.optimize_channels {
-            let optimized = ctx.optimize(route_key, || {
-                optimize_channel_length_with_defects(
-                    &routing,
-                    &schedule,
-                    graph,
-                    &placement,
-                    wash,
-                    &cfg.router,
-                    defects,
-                )
-            });
-            routing = optimized;
-        }
-        Ok(routing)
-    })?;
+        (result, partial)
+    }
 
-    Ok(Solution {
-        schedule,
-        netlist,
-        placement,
-        routing,
-        attempts: attempt_no,
-    })
+    /// The `?`-friendly body of [`attempt`](Ladder::attempt).
+    fn attempt_inner(
+        &self,
+        grid: GridSpec,
+        seed: u64,
+        t_c: Duration,
+        defects: &DefectMap,
+        attempt_no: u32,
+        partial: &mut Partial,
+    ) -> Result<Solution, SynthesisError> {
+        let catch = self.catch;
+        self.budget.check().map_err(SynthesisError::from)?;
+        // Rebuilt per attempt because the rebind rung mutates the defect
+        // map, which participates in every stage key.
+        let stages = Stages::new(
+            self.cfg,
+            self.graph,
+            self.components,
+            self.wash,
+            defects,
+            Some(self.cache),
+            self.budget,
+        );
+        let (schedule, schedule_h) = guard("schedule", catch, || {
+            stages.schedule(t_c).map_err(Into::into)
+        })?;
+        partial.schedule = Some(schedule.clone());
+        let (netlist, netlist_key) = stages.netlist(&schedule, schedule_h);
+
+        let (placement, place_h) = guard("place", catch, || {
+            stages
+                .place(&netlist, netlist_key, grid, seed)
+                .map_err(Into::into)
+        })?;
+        partial.placement = Some(placement.clone());
+
+        let routing = guard("route", catch, || {
+            let (routed, route_key) = stages.route(&schedule, schedule_h, &placement, place_h);
+            let routing = routed.map_err(|e| SynthesisError::Route {
+                last: e,
+                attempts: attempt_no,
+            })?;
+            Ok(if self.cfg.optimize_channels {
+                stages.optimize(&routing, &schedule, &placement, route_key)
+            } else {
+                routing
+            })
+        })?;
+
+        Ok(Solution {
+            schedule,
+            netlist,
+            placement,
+            routing,
+            attempts: attempt_no,
+        })
+    }
 }
 
 /// Runs `f`, converting a panic into [`SynthesisError::StagePanic`] when

@@ -16,6 +16,24 @@ fn wash() -> LogLinearWash {
     LogLinearWash::paper_calibrated()
 }
 
+/// `syn` through `cache` on a chip with `defects`, with no budget.
+fn cached(
+    syn: &Synthesizer,
+    graph: &SequencingGraph,
+    comps: &ComponentSet,
+    defects: &DefectMap,
+    cache: &StageCache,
+) -> Result<Solution, SynthesisError> {
+    syn.synthesize_with(
+        graph,
+        comps,
+        &wash(),
+        defects,
+        Some(cache),
+        &Budget::unlimited(),
+    )
+}
+
 fn setup(bench: &str) -> (SequencingGraph, ComponentSet) {
     let b = benchmark_by_name(bench).expect("Table-I benchmark must exist");
     let comps = b.components(&ComponentLibrary::default());
@@ -34,8 +52,7 @@ fn cached_solutions_are_byte_identical_to_uncached() {
         let want = serde_json::to_string(&plain).expect("Solution serializes");
 
         let cache = StageCache::new();
-        let cold = syn
-            .synthesize_cached(&graph, &comps, &wash(), &cache)
+        let cold = cached(&syn, &graph, &comps, &DefectMap::pristine(), &cache)
             .expect("cold cached run must synthesize");
         assert_eq!(
             serde_json::to_string(&cold).unwrap(),
@@ -46,8 +63,7 @@ fn cached_solutions_are_byte_identical_to_uncached() {
         assert_eq!(miss_stats.hits(), 0, "{bench}: a cold run cannot hit");
         assert!(miss_stats.misses() > 0);
 
-        let warm = syn
-            .synthesize_cached(&graph, &comps, &wash(), &cache)
+        let warm = cached(&syn, &graph, &comps, &DefectMap::pristine(), &cache)
             .expect("warm cached run must synthesize");
         assert_eq!(
             serde_json::to_string(&warm).unwrap(),
@@ -71,8 +87,7 @@ fn schedules_validate_once_per_distinct_schedule() {
     let cache = StageCache::new();
 
     for _ in 0..3 {
-        syn.synthesize_cached(&graph, &comps, &wash(), &cache)
-            .expect("PCR synthesizes");
+        cached(&syn, &graph, &comps, &DefectMap::pristine(), &cache).expect("PCR synthesizes");
     }
     let stats = cache.stats();
     assert_eq!(stats.schedule_misses, 1, "one distinct schedule");
@@ -84,9 +99,14 @@ fn schedules_validate_once_per_distinct_schedule() {
     // A different t_c is a different schedule key: one more validation.
     let mut cfg = SynthesisConfig::paper_dcsa();
     cfg.t_c = Duration::from_secs(3);
-    Synthesizer::new(cfg)
-        .synthesize_cached(&graph, &comps, &wash(), &cache)
-        .expect("PCR synthesizes under t_c = 3");
+    cached(
+        &Synthesizer::new(cfg),
+        &graph,
+        &comps,
+        &DefectMap::pristine(),
+        &cache,
+    )
+    .expect("PCR synthesizes under t_c = 3");
     let stats = cache.stats();
     assert_eq!(stats.schedule_misses, 2);
     assert_eq!(stats.schedule_validations, 2);
@@ -106,7 +126,15 @@ fn cached_recovery_ladder_matches_uncached_trace() {
     let want = format!("{plain:?}");
 
     let cache = StageCache::new();
-    let cold = syn.synthesize_resilient_cached(&graph, &comps, &wash(), &defects, &policy, &cache);
+    let cold = syn.synthesize_resilient_budgeted(
+        &graph,
+        &comps,
+        &wash(),
+        &defects,
+        &policy,
+        &cache,
+        &Budget::unlimited(),
+    );
     assert_eq!(
         format!("{cold:?}"),
         want,
@@ -114,7 +142,15 @@ fn cached_recovery_ladder_matches_uncached_trace() {
     );
     let cold_stats = cache.stats();
 
-    let warm = syn.synthesize_resilient_cached(&graph, &comps, &wash(), &defects, &policy, &cache);
+    let warm = syn.synthesize_resilient_budgeted(
+        &graph,
+        &comps,
+        &wash(),
+        &defects,
+        &policy,
+        &cache,
+        &Budget::unlimited(),
+    );
     assert_eq!(
         format!("{warm:?}"),
         want,
@@ -137,15 +173,13 @@ fn defect_maps_address_distinct_cache_entries() {
     let syn = Synthesizer::paper_dcsa();
     let cache = StageCache::new();
 
-    syn.synthesize_cached(&graph, &comps, &wash(), &cache)
-        .expect("pristine PCR synthesizes");
+    cached(&syn, &graph, &comps, &DefectMap::pristine(), &cache).expect("pristine PCR synthesizes");
     let pristine_stats = cache.stats();
 
     let mut defects = DefectMap::pristine();
     defects.block_cell(CellPos::new(0, 0));
-    let damaged = syn
-        .synthesize_cached_with_defects(&graph, &comps, &wash(), &defects, &cache)
-        .expect("lightly damaged PCR synthesizes");
+    let damaged =
+        cached(&syn, &graph, &comps, &defects, &cache).expect("lightly damaged PCR synthesizes");
     let delta = cache.stats() - pristine_stats;
     assert!(
         delta.misses() > 0,
@@ -216,8 +250,7 @@ fn interrupted_runs_never_poison_the_cache() {
     let plain = syn
         .synthesize(&graph, &comps, &wash())
         .expect("PCR synthesizes");
-    let solved = syn
-        .synthesize_cached(&graph, &comps, &wash(), &cache)
+    let solved = cached(&syn, &graph, &comps, &DefectMap::pristine(), &cache)
         .expect("PCR synthesizes after interrupted attempts");
     assert_eq!(
         serde_json::to_string(&solved).unwrap(),

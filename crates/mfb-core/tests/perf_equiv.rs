@@ -8,6 +8,12 @@
 //! plain serial loop) and `MFB_THREADS=8` and compares the serialized
 //! solutions character for character.
 //!
+//! The flow's retry loop and the recovery ladder's reseed rung run the same
+//! pipeline through the same speculative attempt runner, so on a pristine
+//! chip the ladder must return exactly the flow's solution — attempt count
+//! included — at every thread count, including on benchmarks that need
+//! more than one attempt.
+//!
 //! Everything lives in a single `#[test]` because the thread limit is read
 //! from a process-global environment variable: parallel test functions
 //! mutating it would race.
@@ -20,16 +26,28 @@ fn wash() -> LogLinearWash {
     LogLinearWash::paper_calibrated()
 }
 
-/// Serialized solution for `bench` under the paper DCSA flow with the given
-/// thread limit.
-fn solve_json(threads: &str, bench: &str) -> String {
+/// Serialized solutions for `bench` under the paper DCSA flow and under
+/// the standard recovery ladder, with the given thread limit.
+fn solve_json(threads: &str, bench: &str) -> (String, String) {
     std::env::set_var("MFB_THREADS", threads);
     let b = benchmark_by_name(bench).expect("Table-I benchmark must exist");
     let comps = b.components(&ComponentLibrary::default());
-    let solution = Synthesizer::paper_dcsa()
+    let synth = Synthesizer::paper_dcsa();
+    let flow = synth
         .synthesize(&b.graph, &comps, &wash())
         .expect("paper flow must synthesize its own Table-I benchmark");
-    serde_json::to_string(&solution).expect("Solution serializes")
+    let ladder = synth.synthesize_resilient(
+        &b.graph,
+        &comps,
+        &wash(),
+        &DefectMap::pristine(),
+        &RecoveryPolicy::standard(),
+    );
+    let ladder = ladder
+        .result
+        .expect("the ladder must synthesize what the flow does");
+    let json = |s: &Solution| serde_json::to_string(s).expect("Solution serializes");
+    (json(&flow), json(&ladder))
 }
 
 /// Debug-formatted resilient outcome for a damaged IVD chip under the given
@@ -57,14 +75,23 @@ fn resilient_debug(threads: &str) -> String {
 
 #[test]
 fn solution_is_byte_identical_across_thread_counts() {
-    // Two real and one synthetic benchmark keep runtime modest while
-    // exercising both routed flows and the placement retry loop.
-    for bench in ["PCR", "IVD", "Synthetic1"] {
-        let serial = solve_json("1", bench);
-        let parallel = solve_json("8", bench);
+    // Two real and two synthetic benchmarks keep runtime modest while
+    // exercising the placement retry loop: Synthetic4 routes on its third
+    // attempt, so the speculative batches after attempt 0 decide it.
+    for bench in ["PCR", "IVD", "Synthetic1", "Synthetic4"] {
+        let (serial, serial_ladder) = solve_json("1", bench);
+        let (parallel, parallel_ladder) = solve_json("8", bench);
         assert_eq!(
             serial, parallel,
             "{bench}: Solution must not depend on MFB_THREADS"
+        );
+        assert_eq!(
+            serial, serial_ladder,
+            "{bench}: ladder must equal the flow at MFB_THREADS=1"
+        );
+        assert_eq!(
+            parallel, parallel_ladder,
+            "{bench}: ladder must equal the flow at MFB_THREADS=8"
         );
     }
 

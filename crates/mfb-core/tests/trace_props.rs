@@ -92,11 +92,13 @@ proptest! {
         let collector = mfb_obs::TraceCollector::new();
         {
             let _guard = mfb_obs::install(&collector);
-            let cold = Synthesizer::paper_dcsa()
-                .synthesize_cached(&g, &comps, &wash(), &cache);
+            let cold = Synthesizer::paper_dcsa().synthesize_with(
+                &g, &comps, &wash(), &DefectMap::pristine(), Some(&cache), &Budget::unlimited(),
+            );
             prop_assert!(cold.is_ok(), "{cold:?}");
-            let warm = Synthesizer::paper_dcsa()
-                .synthesize_cached(&g, &comps, &wash(), &cache);
+            let warm = Synthesizer::paper_dcsa().synthesize_with(
+                &g, &comps, &wash(), &DefectMap::pristine(), Some(&cache), &Budget::unlimited(),
+            );
             prop_assert!(warm.is_ok(), "{warm:?}");
         }
         let trace = collector.finish();

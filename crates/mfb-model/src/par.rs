@@ -8,11 +8,14 @@
 //! order**, so a caller that folds them sequentially produces byte-identical
 //! output regardless of how many worker threads ran.
 //!
-//! Worker count comes from [`thread_limit`] — the `MFB_THREADS` environment
-//! variable when set (clamped to ≥ 1), otherwise
+//! Worker count comes from [`worker_limit`]: [`thread_limit`] — the
+//! `MFB_THREADS` environment variable when set (clamped to ≥ 1), otherwise
 //! [`std::thread::available_parallelism`] — further capped at the machine's
 //! core count: oversubscribing CPU-bound workers only costs wall time, and
 //! the ordered reassembly makes worker count invisible in the output.
+//! Callers that size speculative work by how much runs at once (the
+//! synthesis retry batches) use [`worker_limit`] too, so they never compute
+//! more attempts per batch than there are workers to run them.
 //! `MFB_THREADS=1` short-circuits to a plain serial loop — exactly the
 //! pre-parallelism code path.
 //!
@@ -38,7 +41,17 @@ pub fn thread_limit() -> usize {
     }
 }
 
-/// Maps `f` over `0..len` on up to [`thread_limit`] scoped threads and
+/// Worker threads a deterministic sweep actually runs on: [`thread_limit`]
+/// capped at [`std::thread::available_parallelism`]. `MFB_THREADS` is a cap,
+/// not a demand — spawning more CPU-bound workers than the machine has
+/// cores only adds oversubscription overhead. Always ≥ 1.
+#[must_use]
+pub fn worker_limit() -> usize {
+    let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    thread_limit().min(cores)
+}
+
+/// Maps `f` over `0..len` on up to [`worker_limit`] scoped threads and
 /// returns the results in index order.
 ///
 /// `f` must be a pure function of its index (it may read shared state
@@ -50,13 +63,9 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    // `MFB_THREADS` is a cap, not a demand: spawning more CPU-bound workers
-    // than the machine has cores only adds oversubscription overhead (the
-    // super-round-per-call users of this function pay it per call), and the
-    // ordered reassembly below makes the worker count invisible in the
-    // output anyway.
-    let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let workers = thread_limit().min(cores).min(len);
+    // The ordered reassembly below makes the worker count invisible in the
+    // output.
+    let workers = worker_limit().min(len);
     if workers <= 1 {
         return (0..len).map(f).collect();
     }
@@ -122,6 +131,20 @@ mod tests {
     fn zero_and_one_item_work() {
         assert_eq!(par_map_ordered(0, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_ordered(1, |i| i + 10), vec![10]);
+    }
+
+    #[test]
+    fn worker_limit_caps_the_threads_a_sweep_uses() {
+        let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let workers = worker_limit();
+        assert!(workers >= 1);
+        assert!(workers <= cores, "{workers} workers on {cores} cores");
+        assert!(workers <= thread_limit());
+        // However many items there are, no more distinct threads than
+        // `worker_limit` ever run them.
+        let ids = par_map_ordered(64, |_| thread::current().id());
+        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+        assert!(distinct.len() <= workers, "{} threads", distinct.len());
     }
 
     #[test]

@@ -206,8 +206,7 @@ pub fn rect_gap(a: CellRect, b: CellRect) -> u32 {
 }
 
 /// Deterministic left-to-right, bottom-to-top row packing with clearance —
-/// the shared fallback start for the annealer and the force-directed
-/// placer.
+/// the annealer's fallback start.
 pub(crate) fn packed_placement(
     components: &ComponentSet,
     grid: GridSpec,

@@ -39,7 +39,6 @@
 pub mod baseline;
 pub mod error;
 pub mod floorplan;
-pub mod force;
 pub mod nets;
 pub mod reference;
 pub mod sa;
@@ -54,7 +53,6 @@ pub mod prelude {
     pub use crate::floorplan::{
         auto_grid, rect_avoids_defects, rect_gap, Placement, PlacementViolation, CLEARANCE,
     };
-    pub use crate::force::{place_force_directed, place_force_directed_with_defects};
     pub use crate::nets::{energy, energy_with_spacing, Net, NetList, SpacingParams};
     pub use crate::sa::{
         place_sa, place_sa_auto, place_sa_budgeted, place_sa_with_defects, place_sa_with_stats,

@@ -45,8 +45,10 @@ proptest! {
         let con = place_constructive(&comps, &nets, grid).unwrap();
         prop_assert!(con.is_legal(), "constructive illegal");
 
-        let fd = place_force_directed(&comps, &nets, grid).unwrap();
-        prop_assert!(fd.is_legal(), "force-directed illegal");
+        let pristine = DefectMap::pristine();
+        let tempered = SaConfig::paper().with_chains(4);
+        let pt = place_sa_tempered(&comps, &nets, grid, &tempered, &pristine).unwrap();
+        prop_assert!(pt.is_legal(), "tempered SA illegal: {:?}", pt.legality_violation());
     }
 
     #[test]

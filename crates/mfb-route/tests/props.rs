@@ -125,46 +125,6 @@ proptest! {
         }
     }
 
-    /// The negotiated-congestion router, whenever it routes a random
-    /// synthetic assay at all, produces a pairwise conflict-free path set
-    /// and is deterministic under re-run.
-    #[test]
-    fn negotiated_routing_is_conflict_free_and_deterministic(
-        ops in 5usize..16,
-        seed in 0u64..1_000,
-    ) {
-        use mfb_bench_suite::synth::SyntheticSpec;
-        use mfb_sched::list::{schedule, SchedulerConfig};
-
-        let g = SyntheticSpec::new(ops, seed).generate();
-        let lib = ComponentLibrary::default();
-        let comps = Allocation::new(2, 1, 1, 1).instantiate(&lib);
-        let wash = LogLinearWash::paper_calibrated();
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa())
-            .expect("synthetic assays schedule");
-        let nets = mfb_place::prelude::NetList::build(&s, &g, &wash, 0.6, 0.4);
-        let grid = mfb_place::prelude::auto_grid(&comps);
-        let Ok(p) = mfb_place::prelude::place_sa(&comps, &nets, grid, &mfb_place::prelude::SaConfig::paper()) else {
-            return Ok(()); // unplaceable on the base grid: nothing to check
-        };
-        let cfg = RouterConfig::paper();
-        // An Err outcome is fine: congestion beyond this grid is the
-        // flow's (grid-growing) concern, not this property's.
-        if let Ok(r) = route_negotiated(&s, &g, &p, &wash, &cfg) {
-            for i in 0..r.paths.len() {
-                for j in (i + 1)..r.paths.len() {
-                    prop_assert!(
-                        !r.paths[i].conflicts_with(&r.paths[j]),
-                        "paths {} and {} conflict", i, j
-                    );
-                }
-            }
-            let again = route_negotiated(&s, &g, &p, &wash, &cfg)
-                .expect("second run must also route");
-            prop_assert_eq!(r, again, "negotiated routing not deterministic");
-        }
-    }
-
     /// Unreserving a task restores exactly the pre-reservation feasibility.
     #[test]
     fn unreserve_restores_feasibility(

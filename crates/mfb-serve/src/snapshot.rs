@@ -162,7 +162,14 @@ mod tests {
         let cache = StageCache::new();
         let wash = LogLinearWash::paper_calibrated();
         Synthesizer::paper_dcsa()
-            .synthesize_cached(&graph, &alloc, &wash, &cache)
+            .synthesize_with(
+                &graph,
+                &alloc,
+                &wash,
+                &DefectMap::pristine(),
+                Some(&cache),
+                &Budget::unlimited(),
+            )
             .expect("PCR synthesizes");
         cache
     }
@@ -253,7 +260,14 @@ mod tests {
 
         let cold_cache = StageCache::new();
         let cold = synth
-            .synthesize_cached(&graph, &alloc, &wash, &cold_cache)
+            .synthesize_with(
+                &graph,
+                &alloc,
+                &wash,
+                &DefectMap::pristine(),
+                Some(&cold_cache),
+                &Budget::unlimited(),
+            )
             .unwrap();
 
         let dir = tmp_dir("identical");
@@ -264,7 +278,14 @@ mod tests {
         load_snapshot(&warm_cache, &path).unwrap();
         let before = warm_cache.stats();
         let warm = synth
-            .synthesize_cached(&graph, &alloc, &wash, &warm_cache)
+            .synthesize_with(
+                &graph,
+                &alloc,
+                &wash,
+                &DefectMap::pristine(),
+                Some(&warm_cache),
+                &Budget::unlimited(),
+            )
             .unwrap();
         let delta = warm_cache.stats() - before;
         assert!(delta.schedule_hits > 0, "imported schedule must hit");
