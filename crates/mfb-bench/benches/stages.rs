@@ -22,30 +22,85 @@ fn bench_stages(c: &mut Criterion) {
     group.sample_size(20);
 
     group.bench_function("schedule_dcsa", |bench| {
-        bench.iter(|| schedule(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap())
+        bench.iter(|| {
+            schedule(
+                &b.graph,
+                &comps,
+                &wash,
+                &SchedulerConfig::paper_dcsa(),
+                &DefectMap::pristine(),
+            )
+            .unwrap()
+        })
     });
     group.bench_function("schedule_baseline", |bench| {
-        bench
-            .iter(|| schedule(&b.graph, &comps, &wash, &SchedulerConfig::paper_baseline()).unwrap())
+        bench.iter(|| {
+            schedule(
+                &b.graph,
+                &comps,
+                &wash,
+                &SchedulerConfig::paper_baseline(),
+                &DefectMap::pristine(),
+            )
+            .unwrap()
+        })
     });
 
-    let sched = schedule(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+    let sched = schedule(
+        &b.graph,
+        &comps,
+        &wash,
+        &SchedulerConfig::paper_dcsa(),
+        &DefectMap::pristine(),
+    )
+    .unwrap();
     group.bench_function("netlist", |bench| {
         bench.iter(|| NetList::build(&sched, &b.graph, &wash, 0.6, 0.4))
     });
 
     let nets = NetList::build(&sched, &b.graph, &wash, 0.6, 0.4);
     group.bench_function("place_sa", |bench| {
-        bench.iter(|| place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap())
+        bench.iter(|| {
+            place_sa(
+                &comps,
+                &nets,
+                auto_grid(&comps),
+                &SaConfig::paper(),
+                &DefectMap::pristine(),
+                &Budget::unlimited(),
+            )
+            .unwrap()
+            .0
+        })
     });
     group.bench_function("place_constructive", |bench| {
-        bench.iter(|| place_constructive(&comps, &nets, auto_grid(&comps)).unwrap())
+        bench.iter(|| {
+            place_constructive(&comps, &nets, auto_grid(&comps), &DefectMap::pristine()).unwrap()
+        })
     });
 
-    let placement = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
+    let (placement, _) = place_sa(
+        &comps,
+        &nets,
+        auto_grid(&comps),
+        &SaConfig::paper(),
+        &DefectMap::pristine(),
+        &Budget::unlimited(),
+    )
+    .unwrap();
     group.bench_function("route_dcsa", |bench| {
         bench.iter(|| {
-            route_dcsa(&sched, &b.graph, &placement, &wash, &RouterConfig::paper()).unwrap()
+            route_dcsa(
+                &sched,
+                &b.graph,
+                &placement,
+                &wash,
+                &RouterConfig::paper(),
+                &DefectMap::pristine(),
+                &Budget::unlimited(),
+                &mut SearchScratch::new(),
+            )
+            .unwrap()
         })
     });
     group.finish();

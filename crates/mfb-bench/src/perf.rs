@@ -12,11 +12,9 @@
 //!
 //! The per-benchmark kernel rows are deliberately **serial**: timing under
 //! the deterministic thread fan-out would attribute scheduler noise to the
-//! kernels. Two extra axes measure what the rows exclude: [`TemperedPerf`]
-//! times the parallel-tempering annealer (`chains` replicas under the
-//! ambient `MFB_THREADS` fan-out, CI pins 8) against its frozen serial
-//! reference, and [`DenseRoutePerf`] times the serial conflict-aware router
-//! on the 100-op Synthetic5 rung, where routability is the product.
+//! kernels. [`DenseRoutePerf`] measures what the rows exclude: the serial
+//! conflict-aware router on the 100-op Synthetic5 rung, where routability
+//! is the product.
 
 use std::time::Instant as WallClock; // the model prelude has its own Instant
 
@@ -77,31 +75,8 @@ pub struct PerfRow {
     /// Rip-up evictions performed by one routing run.
     pub rips: u64,
     /// Worker threads the row's kernels ran under. Always 1: the kernel
-    /// rows are timed serially by design (see the module docs); the
-    /// multi-thread axis is [`TemperedPerf`].
+    /// rows are timed serially by design (see the module docs).
     pub kernel_threads: usize,
-}
-
-/// The multi-thread flagship axis: the parallel-tempering annealer
-/// (`chains` replicas fanned out over `threads` workers) against the
-/// frozen serial tempered reference on identical inputs.
-/// `tests/tempering_equiv.rs` pins both sides bitwise-identical for any
-/// `MFB_THREADS`, so the ratio is pure wall-clock, not an accuracy trade.
-#[derive(Debug, Clone, Serialize)]
-pub struct TemperedPerf {
-    /// The benchmark timed (the headline flagship).
-    pub benchmark: String,
-    /// Tempering chains (replicas) on both sides of the ratio.
-    pub chains: u32,
-    /// Worker threads the optimized side fanned out over: the ambient
-    /// `MFB_THREADS` limit capped at `chains`. CI pins `MFB_THREADS=8`.
-    pub threads: usize,
-    /// Optimized (incremental-energy, parallel super-round) wall time.
-    pub sa_ms: f64,
-    /// Frozen serial clone-per-proposal tempered reference wall time.
-    pub sa_reference_ms: f64,
-    /// `sa_reference_ms / sa_ms` — the CI multi-thread gate reads this.
-    pub sa_speedup: f64,
 }
 
 /// The dense routability axis: the 100-op Synthetic5 rung, where channel
@@ -149,15 +124,12 @@ pub struct PerfReport {
     /// rows are serial by design; see the module docs).
     pub threads: usize,
     /// Physical cores available to the run. Worker pools cap at this, so
-    /// when `cores < threads` the multi-thread axes are core-bound — the
-    /// tempered CI gate assumes the multi-core CI runners.
+    /// when `cores < threads` the batch axis is core-bound.
     pub cores: usize,
     /// Headline speedups (largest routable benchmark).
     pub headline: PerfHeadline,
     /// One row per Table-I benchmark.
     pub rows: Vec<PerfRow>,
-    /// The multi-thread parallel-tempering axis on the flagship benchmark.
-    pub tempered: TemperedPerf,
     /// The dense Synthetic5 routability axis.
     pub dense: DenseRoutePerf,
     /// Per-stage span timings from one traced end-to-end synthesis of the
@@ -224,18 +196,25 @@ fn routable_grid(
         let d = 3u64.pow(step);
         let side = |v: u32| ((u64::from(v) * f / d).min(u64::from(u32::MAX)) as u32).max(v);
         let grid = GridSpec::new(side(base.width), side(base.height), base.pitch_mm);
-        let Ok(p) = place_sa(comps, nets, grid, sa_cfg) else {
+        let Ok((p, _)) = place_sa(
+            comps,
+            nets,
+            grid,
+            sa_cfg,
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        ) else {
             continue;
         };
-        let mut scratch = SearchScratch::new();
-        if route_dcsa_with_scratch(
+        if route_dcsa(
             s,
             graph,
             &p,
             wash,
             router_cfg,
             &DefectMap::pristine(),
-            &mut scratch,
+            &Budget::unlimited(),
+            &mut SearchScratch::new(),
         )
         .is_ok()
         {
@@ -270,8 +249,14 @@ pub fn perf_report(repeats: u32) -> PerfReport {
         .map(|b| {
             let comps = b.components(&lib);
             let (sched_s, s) = best_of(repeats, || {
-                schedule(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa())
-                    .expect("Table-I benchmarks schedule")
+                schedule(
+                    &b.graph,
+                    &comps,
+                    &wash,
+                    &SchedulerConfig::paper_dcsa(),
+                    &DefectMap::pristine(),
+                )
+                .expect("Table-I benchmarks schedule")
             });
             let nets = NetList::build(&s, &b.graph, &wash, 0.6, 0.4);
             let (grid, route_ok) =
@@ -280,11 +265,18 @@ pub fn perf_report(repeats: u32) -> PerfReport {
             let (sa_s, sa_ref_s, (p, sa_stats)) = best_of_pair(
                 repeats,
                 || {
-                    place_sa_with_stats(&comps, &nets, grid, &sa_cfg)
-                        .expect("Table-I benchmarks place")
+                    place_sa(
+                        &comps,
+                        &nets,
+                        grid,
+                        &sa_cfg,
+                        &DefectMap::pristine(),
+                        &Budget::unlimited(),
+                    )
+                    .expect("Table-I benchmarks place")
                 },
                 || {
-                    place_sa_reference(&comps, &nets, grid, &sa_cfg)
+                    place_sa_reference(&comps, &nets, grid, &sa_cfg, &DefectMap::pristine())
                         .expect("Table-I benchmarks place");
                 },
             );
@@ -294,19 +286,27 @@ pub fn perf_report(repeats: u32) -> PerfReport {
                 repeats,
                 || {
                     let mut scratch = SearchScratch::new();
-                    let _ = route_dcsa_with_scratch(
+                    let _ = route_dcsa(
                         &s,
                         &b.graph,
                         &p,
                         &wash,
                         &router_cfg,
                         &DefectMap::pristine(),
+                        &Budget::unlimited(),
                         &mut scratch,
                     );
                     route_stats = scratch.stats;
                 },
                 || {
-                    let _ = route_dcsa_reference(&s, &b.graph, &p, &wash, &router_cfg);
+                    let _ = route_dcsa_reference(
+                        &s,
+                        &b.graph,
+                        &p,
+                        &wash,
+                        &router_cfg,
+                        &DefectMap::pristine(),
+                    );
                 },
             );
 
@@ -349,7 +349,6 @@ pub fn perf_report(repeats: u32) -> PerfReport {
     };
 
     let (stage_trace, trace_counters) = traced_flagship(&headline.benchmark);
-    let tempered = tempered_perf(repeats, &headline.benchmark);
     let dense = dense_perf(repeats);
 
     PerfReport {
@@ -358,63 +357,10 @@ pub fn perf_report(repeats: u32) -> PerfReport {
         cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         headline,
         rows,
-        tempered,
         dense,
         stage_trace,
         trace_counters,
         batch: crate::throughput::throughput_report(repeats),
-    }
-}
-
-/// Times the parallel-tempering annealer against the frozen serial
-/// tempered reference on `benchmark` (the flagship). Eight chains — the
-/// tracked configuration — under whatever `MFB_THREADS` fan-out is
-/// ambient, so CI controls the thread axis from the job environment.
-fn tempered_perf(repeats: u32, benchmark: &str) -> TemperedPerf {
-    use mfb_place::reference::place_sa_tempered_reference;
-
-    const CHAINS: u32 = 8;
-    let lib = ComponentLibrary::default();
-    let wash = LogLinearWash::paper_calibrated();
-    let benchmarks = table1_benchmarks();
-    let b = benchmarks
-        .iter()
-        .find(|b| b.name == benchmark)
-        .unwrap_or_else(|| benchmarks.last().expect("Table I is non-empty"));
-    let comps = b.components(&lib);
-    let s = schedule(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa())
-        .expect("Table-I benchmarks schedule");
-    let nets = NetList::build(&s, &b.graph, &wash, 0.6, 0.4);
-    let sa_cfg = SaConfig::paper().with_chains(CHAINS);
-    let router_cfg = RouterConfig::paper();
-    let (grid, _) = routable_grid(
-        &comps,
-        &nets,
-        &SaConfig::paper(),
-        &s,
-        &b.graph,
-        &wash,
-        &router_cfg,
-    );
-
-    let (sa_s, sa_ref_s, _) = best_of_pair(
-        repeats,
-        || {
-            place_sa_tempered(&comps, &nets, grid, &sa_cfg, &DefectMap::pristine())
-                .expect("flagship places")
-        },
-        || {
-            place_sa_tempered_reference(&comps, &nets, grid, &sa_cfg, &DefectMap::pristine())
-                .expect("flagship places");
-        },
-    );
-    TemperedPerf {
-        benchmark: b.name.to_string(),
-        chains: CHAINS,
-        threads: mfb_model::par::thread_limit().max(1).min(CHAINS as usize),
-        sa_ms: ms(sa_s),
-        sa_reference_ms: ms(sa_ref_s),
-        sa_speedup: sa_ref_s / sa_s,
     }
 }
 
@@ -427,22 +373,37 @@ fn dense_perf(repeats: u32) -> DenseRoutePerf {
     let comps = b.components(&lib);
     let sa_cfg = SaConfig::paper();
     let router_cfg = RouterConfig::paper();
-    let s = schedule(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa())
-        .expect("Synthetic5 schedules");
+    let s = schedule(
+        &b.graph,
+        &comps,
+        &wash,
+        &SchedulerConfig::paper_dcsa(),
+        &DefectMap::pristine(),
+    )
+    .expect("Synthetic5 schedules");
     let nets = NetList::build(&s, &b.graph, &wash, 0.6, 0.4);
     let (grid, _) = routable_grid(&comps, &nets, &sa_cfg, &s, &b.graph, &wash, &router_cfg);
-    let p = place_sa(&comps, &nets, grid, &sa_cfg).expect("Synthetic5 places on its ladder grid");
+    let (p, _) = place_sa(
+        &comps,
+        &nets,
+        grid,
+        &sa_cfg,
+        &DefectMap::pristine(),
+        &Budget::unlimited(),
+    )
+    .expect("Synthetic5 places on its ladder grid");
 
     let mut stats = SearchStats::default();
     let (dcsa_s, dcsa_ok) = best_of(repeats, || {
         let mut scratch = SearchScratch::new();
-        let ok = route_dcsa_with_scratch(
+        let ok = route_dcsa(
             &s,
             &b.graph,
             &p,
             &wash,
             &router_cfg,
             &DefectMap::pristine(),
+            &Budget::unlimited(),
             &mut scratch,
         )
         .is_ok();
@@ -533,12 +494,6 @@ pub fn perf_text(report: &PerfReport) -> String {
         report.headline.route_speedup,
         report.repeats
     );
-    let t = &report.tempered;
-    let _ = writeln!(
-        out,
-        "tempered ({}, {} chains, {} threads): {:.2} ms vs reference {:.2} ms ({:.2}x)",
-        t.benchmark, t.chains, t.threads, t.sa_ms, t.sa_reference_ms, t.sa_speedup
-    );
     let d = &report.dense;
     let _ = writeln!(
         out,
@@ -599,9 +554,6 @@ mod tests {
         }
         assert!(r.rows.iter().any(|row| row.route_ok));
         assert!(r.rows.iter().all(|row| row.kernel_threads == 1));
-        assert_eq!(r.tempered.chains, 8);
-        assert!(r.tempered.threads >= 1);
-        assert!(r.tempered.sa_speedup > 0.0);
         assert!(r.dense.dcsa_ok, "Synthetic5 ladder grid must route serial");
         assert!(r.dense.transports > 0);
         assert_eq!(r.batch.jobs, 2 * r.rows.len());

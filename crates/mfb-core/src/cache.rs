@@ -628,10 +628,12 @@ impl BaseKeys {
                 h.write_u32(cfg.sa.i_max);
                 h.write_u64(seed);
                 write_spacing(&mut h, cfg.sa.spacing);
-                // Tempering inputs: a different chain count or ladder is a
-                // different placement, so it must be a different key.
-                h.write_u32(cfg.sa.chains);
-                h.write_f64(cfg.sa.ladder);
+                // A chain count of 1 and a temperature ladder of 1.6 stay
+                // in the hash as constants: existing `mfb serve` snapshots
+                // were keyed with them and must still load warm
+                // (`paper_dcsa_pcr_stage_keys_are_pinned`).
+                h.write_u32(1);
+                h.write_f64(1.6);
             }
             PlacementStrategy::Constructive => {
                 h.write_str("constructive");
@@ -976,5 +978,47 @@ mod tests {
         });
         assert_eq!(runs.load(Ordering::SeqCst), 2);
         assert_eq!(cache.stats().schedule_validations, 2);
+    }
+
+    /// Pins the schedule, place and route keys of one paper-DCSA input:
+    /// PCR at the default seed on its auto grid. `mfb serve` snapshots
+    /// persist stage results under these keys, so a literal that moves
+    /// means every existing snapshot loads cold.
+    #[test]
+    fn paper_dcsa_pcr_stage_keys_are_pinned() {
+        use crate::pipeline::{scheduler_config, Stages};
+        let bench = mfb_bench_suite::table1_benchmarks()
+            .into_iter()
+            .find(|b| b.name == "PCR")
+            .unwrap();
+        let comps = bench.components(&ComponentLibrary::default());
+        let wash = LogLinearWash::paper_calibrated();
+        let defects = DefectMap::pristine();
+        let cfg = SynthesisConfig::paper_dcsa();
+        let cache = StageCache::new();
+        let budget = Budget::unlimited();
+        let stages = Stages::new(
+            &cfg,
+            &bench.graph,
+            &comps,
+            &wash,
+            &defects,
+            Some(&cache),
+            &budget,
+        );
+        let (schedule, schedule_h) = stages.schedule(cfg.t_c).unwrap();
+        let (netlist, netlist_key) = stages.netlist(&schedule, schedule_h);
+        let grid = mfb_place::prelude::auto_grid(&comps);
+        let (_, place_h) = stages
+            .place(&netlist, netlist_key, grid, cfg.sa.seed)
+            .unwrap();
+
+        let keys = BaseKeys::new(&bench.graph, &comps, &wash, &defects);
+        let sched_key = keys.schedule_key(&scheduler_config(&cfg, cfg.t_c));
+        let place_key = keys.place_key(netlist_key, grid, &cfg, cfg.sa.seed);
+        let route_key = keys.route_key(schedule_h, place_h, &cfg);
+        assert_eq!(sched_key.to_hex(), "75f75ad7f09ad09f");
+        assert_eq!(place_key.to_hex(), "96c236fd6a03c105");
+        assert_eq!(route_key.to_hex(), "ec03e552ab24961c");
     }
 }

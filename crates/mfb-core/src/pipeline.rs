@@ -76,7 +76,7 @@ impl<'a> Stages<'a> {
         let sched_cfg = scheduler_config(self.cfg, t_c);
         self.ctx
             .schedule(&sched_cfg, self.graph, self.components, || {
-                schedule_with_defects(
+                schedule(
                     self.graph,
                     self.components,
                     self.wash,
@@ -112,10 +112,8 @@ impl<'a> Stages<'a> {
         self.ctx
             .place(netlist_key, grid, cfg, seed, || match cfg.placement {
                 PlacementStrategy::SimulatedAnnealing => {
-                    // Delegates to the plain single-chain loop when
-                    // `cfg.sa.chains <= 1` (the paper configuration).
                     let sa = SaConfig { seed, ..cfg.sa };
-                    place_sa_tempered_budgeted(
+                    place_sa(
                         self.components,
                         netlist,
                         grid,
@@ -125,13 +123,9 @@ impl<'a> Stages<'a> {
                     )
                     .map(|(p, _)| p)
                 }
-                PlacementStrategy::Constructive => place_constructive_with_defects(
-                    self.components,
-                    netlist,
-                    grid,
-                    SpacingParams::default_routing(),
-                    self.defects,
-                ),
+                PlacementStrategy::Constructive => {
+                    place_constructive(self.components, netlist, grid, self.defects)
+                }
             })
     }
 
@@ -148,17 +142,17 @@ impl<'a> Stages<'a> {
         let cfg = self.cfg;
         self.ctx
             .route(schedule_h, place_h, cfg, || match cfg.routing {
-                RoutingStrategy::ConflictAware => route_dcsa_budgeted(
+                RoutingStrategy::ConflictAware => route_dcsa(
                     schedule,
                     self.graph,
                     placement,
                     self.wash,
                     &cfg.router,
                     self.defects,
-                    &mut SearchScratch::new(),
                     self.budget,
+                    &mut SearchScratch::new(),
                 ),
-                RoutingStrategy::ConstructionByCorrection => route_corrected_with_defects(
+                RoutingStrategy::ConstructionByCorrection => route_corrected(
                     schedule,
                     self.graph,
                     placement,
@@ -179,7 +173,7 @@ impl<'a> Stages<'a> {
         route_key: ContentHash,
     ) -> Routing {
         self.ctx.optimize(route_key, || {
-            optimize_channel_length_with_defects(
+            optimize_channel_length(
                 routing,
                 schedule,
                 self.graph,

@@ -10,9 +10,21 @@ use mfb_obs::{
     counter_totals, install, instant, stage_summaries, EventKind, Field, FieldValue,
     TraceCollector, TraceEvent,
 };
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Held by every test that installs a collector. `mfb_obs::enabled()`
+/// counts installed collectors across the whole process, so without it one
+/// test's assertion on the flag could see another test's collector,
+/// installed concurrently on the harness's other threads.
+static COLLECTORS: Mutex<()> = Mutex::new(());
+
+fn one_collector_at_a_time() -> MutexGuard<'static, ()> {
+    COLLECTORS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Builds a small real trace through the public macro/guard API.
 fn sample_trace() -> mfb_obs::Trace {
+    let _serial = one_collector_at_a_time();
     let collector = TraceCollector::new();
     let guard = install(&collector);
     {
@@ -144,6 +156,7 @@ fn summaries_aggregate_spans_and_counters_deterministically() {
 
 #[test]
 fn no_collector_means_no_recording_and_finish_counts_open_spans() {
+    let _serial = one_collector_at_a_time();
     // No install: probes are inert.
     {
         let _span = mfb_obs::obs_span!("stage.route");
@@ -168,6 +181,7 @@ fn no_collector_means_no_recording_and_finish_counts_open_spans() {
 
 #[test]
 fn install_nests_and_restores_the_previous_collector() {
+    let _serial = one_collector_at_a_time();
     let outer = TraceCollector::new();
     let g1 = install(&outer);
     instant("outer.before", Vec::new());
@@ -188,6 +202,7 @@ fn install_nests_and_restores_the_previous_collector() {
 
 #[test]
 fn collector_propagates_across_threads_with_distinct_tids() {
+    let _serial = one_collector_at_a_time();
     let collector = TraceCollector::new();
     let guard = install(&collector);
     let handle = mfb_obs::current().expect("installed");

@@ -23,10 +23,13 @@
 //! let g = b.build().unwrap();
 //! let comps = Allocation::new(1, 1, 0, 0).instantiate(&ComponentLibrary::default());
 //! let wash = LogLinearWash::paper_calibrated();
-//! let sched = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+//! let pristine = DefectMap::pristine();
+//! let sched = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa(), &pristine).unwrap();
 //!
 //! let nets = NetList::build(&sched, &g, &wash, 0.6, 0.4);
-//! let placement = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
+//! let grid = auto_grid(&comps);
+//! let (placement, _stats) =
+//!     place_sa(&comps, &nets, grid, &SaConfig::paper(), &pristine, &Budget::unlimited()).unwrap();
 //! assert!(placement.is_legal());
 //! ```
 
@@ -42,21 +45,14 @@ pub mod floorplan;
 pub mod nets;
 pub mod reference;
 pub mod sa;
-pub mod tempering;
 
 /// One-stop import of the placement API.
 pub mod prelude {
-    pub use crate::baseline::{
-        place_constructive, place_constructive_spaced, place_constructive_with_defects,
-    };
+    pub use crate::baseline::place_constructive;
     pub use crate::error::PlaceError;
     pub use crate::floorplan::{
         auto_grid, rect_avoids_defects, rect_gap, Placement, PlacementViolation, CLEARANCE,
     };
     pub use crate::nets::{energy, energy_with_spacing, Net, NetList, SpacingParams};
-    pub use crate::sa::{
-        place_sa, place_sa_auto, place_sa_budgeted, place_sa_with_defects, place_sa_with_stats,
-        place_sa_with_stats_and_defects, Move, SaConfig, SaStats,
-    };
-    pub use crate::tempering::{place_sa_tempered, place_sa_tempered_budgeted};
+    pub use crate::sa::{place_sa, Move, SaConfig, SaStats};
 }

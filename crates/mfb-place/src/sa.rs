@@ -8,8 +8,8 @@
 
 use crate::error::PlaceError;
 use crate::floorplan::{
-    auto_grid, packed_placement, packed_placement_avoiding, rect_avoids_defects, rect_gap,
-    Placement, CLEARANCE,
+    packed_placement, packed_placement_avoiding, rect_avoids_defects, rect_gap, Placement,
+    CLEARANCE,
 };
 use crate::nets::{energy_with_spacing, NetList, SpacingParams};
 use mfb_model::prelude::*;
@@ -34,18 +34,11 @@ pub struct SaConfig {
     /// [`SpacingParams`]. Use [`SpacingParams::off`] for the paper's plain
     /// energy.
     pub spacing: SpacingParams,
-    /// Parallel-tempering chain count (see [`crate::tempering`]). `1` (the
-    /// paper's single-chain anneal) runs the plain loop below; `K > 1` runs
-    /// `K` temperature-laddered replicas with deterministic exchange.
-    pub chains: u32,
-    /// Temperature ratio between adjacent tempering chains: chain `i` runs
-    /// at `T · ladder^i`. Ignored when `chains <= 1`.
-    pub ladder: f64,
 }
 
 impl SaConfig {
     /// The paper's parameters: `T_0 = 10000`, `T_min = 1.0`, `α = 0.9`,
-    /// `I_max = 150` — single chain, the published algorithm.
+    /// `I_max = 150` — the published single-chain anneal.
     pub fn paper() -> Self {
         SaConfig {
             t0: 10_000.0,
@@ -54,8 +47,6 @@ impl SaConfig {
             i_max: 150,
             seed: 0xD1CE,
             spacing: SpacingParams::default_routing(),
-            chains: 1,
-            ladder: 1.6,
         }
     }
 
@@ -64,54 +55,12 @@ impl SaConfig {
         self.seed = seed;
         self
     }
-
-    /// Same schedule, `chains` tempering replicas.
-    pub fn with_chains(mut self, chains: u32) -> Self {
-        self.chains = chains;
-        self
-    }
 }
 
 impl Default for SaConfig {
     fn default() -> Self {
         SaConfig::paper()
     }
-}
-
-/// Places `components` on `grid` (use [`auto_grid`] when in doubt),
-/// minimising the net-weighted wirelength of Eq. (3).
-///
-/// # Errors
-///
-/// Returns [`PlaceError::GridTooSmall`] when no legal initial placement
-/// exists on the grid.
-pub fn place_sa(
-    components: &ComponentSet,
-    nets: &NetList,
-    grid: GridSpec,
-    config: &SaConfig,
-) -> Result<Placement, PlaceError> {
-    place_sa_with_defects(components, nets, grid, config, &DefectMap::pristine())
-}
-
-/// [`place_sa`] on a damaged chip: no component rectangle may cover a
-/// blocked cell of `defects`, and components marked dead are pinned — the
-/// annealer never proposes moving, rotating or swapping them. With a
-/// pristine map this is exactly `place_sa` (bit-identical placements).
-///
-/// # Errors
-///
-/// [`PlaceError::GridTooSmall`] when the grid cannot hold the components at
-/// all; [`PlaceError::DefectBlocked`] when it could, but every arrangement
-/// collides with blocked cells.
-pub fn place_sa_with_defects(
-    components: &ComponentSet,
-    nets: &NetList,
-    grid: GridSpec,
-    config: &SaConfig,
-    defects: &DefectMap,
-) -> Result<Placement, PlaceError> {
-    place_sa_with_stats_and_defects(components, nets, grid, config, defects).map(|(p, _)| p)
 }
 
 /// Counters from one annealing run, for the perf baseline (`mfb bench`).
@@ -125,21 +74,20 @@ pub struct SaStats {
     pub accepted: u64,
 }
 
-/// [`place_sa`] returning the proposal counters alongside the placement.
+/// Places `components` on `grid` (use
+/// [`auto_grid`](crate::floorplan::auto_grid) when in doubt), minimising
+/// the net-weighted wirelength of Eq. (3), and returns the proposal
+/// counters alongside the placement.
 ///
-/// # Errors
+/// No component rectangle may cover a blocked cell of `defects`, and
+/// components marked dead are pinned — the annealer never proposes moving,
+/// rotating or swapping them. Pass [`DefectMap::pristine`] for an
+/// undamaged chip.
 ///
-/// Same as [`place_sa`].
-pub fn place_sa_with_stats(
-    components: &ComponentSet,
-    nets: &NetList,
-    grid: GridSpec,
-    config: &SaConfig,
-) -> Result<(Placement, SaStats), PlaceError> {
-    place_sa_with_stats_and_defects(components, nets, grid, config, &DefectMap::pristine())
-}
-
-/// The annealing loop shared by every `place_sa*` entry point.
+/// `budget` is polled **once per temperature epoch** (every `i_max`
+/// proposals, outside the bitwise-pinned proposal path), so an unlimited
+/// budget leaves the annealer bit-identical to the frozen reference while a
+/// tripped one stops within a single epoch.
 ///
 /// Hot-path shape: a proposal is applied **in place** as a typed [`Move`]
 /// and reverted on rejection, and the Eq. (3)+spacing energy is maintained
@@ -148,34 +96,14 @@ pub fn place_sa_with_stats(
 /// the full recompute so accepted energies stay bitwise identical to
 /// [`crate::reference::place_sa_reference`] (debug builds cross-check every
 /// evaluation against the full recompute).
-pub fn place_sa_with_stats_and_defects(
-    components: &ComponentSet,
-    nets: &NetList,
-    grid: GridSpec,
-    config: &SaConfig,
-    defects: &DefectMap,
-) -> Result<(Placement, SaStats), PlaceError> {
-    place_sa_budgeted(
-        components,
-        nets,
-        grid,
-        config,
-        defects,
-        &Budget::unlimited(),
-    )
-}
-
-/// [`place_sa_with_stats_and_defects`] under an execution [`Budget`]: the
-/// budget is polled **once per temperature epoch** (every `i_max` proposals,
-/// outside the bitwise-pinned proposal path), so an unlimited budget leaves
-/// the annealer bit-identical to the frozen reference while a tripped one
-/// stops within a single epoch.
 ///
 /// # Errors
 ///
-/// Same as [`place_sa`], plus [`PlaceError::Interrupted`] when the deadline
-/// passes or the cancellation token fires mid-anneal.
-pub fn place_sa_budgeted(
+/// [`PlaceError::GridTooSmall`] when the grid cannot hold the components at
+/// all; [`PlaceError::DefectBlocked`] when it could, but every arrangement
+/// collides with blocked cells; [`PlaceError::Interrupted`] when the
+/// deadline passes or the cancellation token fires mid-anneal.
+pub fn place_sa(
     components: &ComponentSet,
     nets: &NetList,
     grid: GridSpec,
@@ -243,15 +171,6 @@ pub fn place_sa_budgeted(
     mfb_obs::obs_counter!("sa.rejected", stats.evaluated - stats.accepted);
     debug_assert!(best.is_legal());
     Ok((best, stats))
-}
-
-/// Convenience: places on an automatically sized grid.
-pub fn place_sa_auto(
-    components: &ComponentSet,
-    nets: &NetList,
-    config: &SaConfig,
-) -> Result<Placement, PlaceError> {
-    place_sa(components, nets, auto_grid(components), config)
 }
 
 /// Builds a random legal placement by rejection sampling, falling back to a
@@ -365,7 +284,7 @@ impl Move {
 /// defect map, so a pristine map reproduces the historical placements
 /// exactly. The draw sequence and accept/reject decisions match the
 /// clone-based [`crate::reference`] proposer bit for bit.
-pub(crate) fn propose_move(
+fn propose_move(
     placement: &mut Placement,
     components: &ComponentSet,
     rng: &mut StdRng,
@@ -506,11 +425,7 @@ fn swap_stays_legal(
 /// result bitwise identical to [`energy_with_spacing`] — floating-point
 /// addition is order-sensitive, so a running delta would drift and change
 /// Metropolis decisions.
-///
-/// `Clone` is derived so [`crate::tempering`] can step a snapshot of each
-/// chain inside the `Fn`-bounded parallel map.
-#[derive(Clone)]
-pub(crate) struct IncrementalEnergy<'a> {
+struct IncrementalEnergy<'a> {
     nets: &'a NetList,
     spacing: SpacingParams,
     spacing_on: bool,
@@ -549,7 +464,7 @@ pub(crate) struct IncrementalEnergy<'a> {
 }
 
 impl<'a> IncrementalEnergy<'a> {
-    pub(crate) fn new(placement: &Placement, nets: &'a NetList, spacing: SpacingParams) -> Self {
+    fn new(placement: &Placement, nets: &'a NetList, spacing: SpacingParams) -> Self {
         let n = placement.len();
         let spacing_on = spacing.weight > 0.0 && spacing.min_gap > 0;
         let ports: Vec<CellPos> = (0..n)
@@ -607,12 +522,6 @@ impl<'a> IncrementalEnergy<'a> {
         }
     }
 
-    /// The spacing parameters this energy was built with (for the
-    /// tempering loop's debug cross-check).
-    pub(crate) fn spacing(&self) -> SpacingParams {
-        self.spacing
-    }
-
     /// Flips slot `idx`'s non-zero bit when its value crossed zero.
     #[inline]
     fn reindex_pair(&mut self, idx: u32, old: f64, new: f64) {
@@ -624,7 +533,7 @@ impl<'a> IncrementalEnergy<'a> {
     /// Re-evaluates the terms incident to the move's component(s), logging
     /// the overwritten values for [`IncrementalEnergy::revert`]. Call with
     /// the placement already mutated by the move.
-    pub(crate) fn apply_move(&mut self, placement: &Placement, mv: &Move) {
+    fn apply_move(&mut self, placement: &Placement, mv: &Move) {
         self.saved_nets.clear();
         self.saved_pairs.clear();
         self.saved_ports.clear();
@@ -711,7 +620,7 @@ impl<'a> IncrementalEnergy<'a> {
     }
 
     /// Restores the terms overwritten by the last `apply_move`.
-    pub(crate) fn revert(&mut self) {
+    fn revert(&mut self) {
         for &(ni, old) in self.saved_nets.iter().rev() {
             self.net_terms[ni as usize] = old;
             self.prefix_from = self.prefix_from.min(ni as usize);
@@ -732,7 +641,7 @@ impl<'a> IncrementalEnergy<'a> {
 
     /// Sums the cached terms in the full recompute's order: the rebuilt
     /// suffix of the naive net-term prefix sums, then every penalised pair.
-    pub(crate) fn total(&mut self) -> f64 {
+    fn total(&mut self) -> f64 {
         let len = self.net_terms.len();
         for i in self.prefix_from..len {
             self.net_prefix[i + 1] = self.net_prefix[i] + self.net_terms[i];
@@ -770,8 +679,26 @@ fn pair_penalty(a: CellRect, b: CellRect, spacing: SpacingParams) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::floorplan::auto_grid;
     use mfb_sched::list::{schedule, SchedulerConfig};
     use mfb_sched::prelude::Schedule;
+
+    /// [`place_sa`] on a pristine chip, unbudgeted.
+    fn anneal(
+        comps: &ComponentSet,
+        nets: &NetList,
+        grid: GridSpec,
+        cfg: &SaConfig,
+    ) -> Result<(Placement, SaStats), PlaceError> {
+        place_sa(
+            comps,
+            nets,
+            grid,
+            cfg,
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        )
+    }
 
     fn d() -> DiffusionCoefficient {
         DiffusionCoefficient::PROTEIN
@@ -791,6 +718,7 @@ mod tests {
             &comps,
             &LogLinearWash::paper_calibrated(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         (g, comps, s)
@@ -800,7 +728,7 @@ mod tests {
     fn sa_produces_legal_placement() {
         let (g, comps, s) = chain_workload();
         let nets = NetList::build(&s, &g, &LogLinearWash::paper_calibrated(), 0.6, 0.4);
-        let p = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
+        let (p, _) = anneal(&comps, &nets, auto_grid(&comps), &SaConfig::paper()).unwrap();
         assert!(p.is_legal());
         assert_eq!(p.len(), comps.len());
     }
@@ -810,8 +738,8 @@ mod tests {
         let (g, comps, s) = chain_workload();
         let nets = NetList::build(&s, &g, &LogLinearWash::paper_calibrated(), 0.6, 0.4);
         let cfg = SaConfig::paper().with_seed(7);
-        let a = place_sa_auto(&comps, &nets, &cfg).unwrap();
-        let b = place_sa_auto(&comps, &nets, &cfg).unwrap();
+        let (a, _) = anneal(&comps, &nets, auto_grid(&comps), &cfg).unwrap();
+        let (b, _) = anneal(&comps, &nets, auto_grid(&comps), &cfg).unwrap();
         assert_eq!(a, b);
     }
 
@@ -823,7 +751,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(SaConfig::paper().seed);
         let start = initial_placement(&comps, grid, &mut rng, &DefectMap::pristine()).unwrap();
         let cfg = SaConfig::paper();
-        let optimised = place_sa(&comps, &nets, grid, &cfg).unwrap();
+        let (optimised, _) = anneal(&comps, &nets, grid, &cfg).unwrap();
         assert!(
             energy_with_spacing(&optimised, &nets, cfg.spacing)
                 <= energy_with_spacing(&start, &nets, cfg.spacing),
@@ -835,7 +763,7 @@ mod tests {
     fn tiny_grid_is_rejected() {
         let comps = Allocation::new(4, 2, 2, 2).instantiate(&ComponentLibrary::default());
         let nets = empty_netlist();
-        let err = place_sa(&comps, &nets, GridSpec::square(4), &SaConfig::paper());
+        let err = anneal(&comps, &nets, GridSpec::square(4), &SaConfig::paper());
         assert!(matches!(err, Err(PlaceError::GridTooSmall { .. })));
     }
 
@@ -849,6 +777,7 @@ mod tests {
             &comps,
             &LogLinearWash::paper_calibrated(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         NetList::build(&s, &g, &LogLinearWash::paper_calibrated(), 0.6, 0.4)
@@ -858,7 +787,7 @@ mod tests {
     fn single_component_placement() {
         let comps = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
         let nets = empty_netlist();
-        let p = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
+        let (p, _) = anneal(&comps, &nets, auto_grid(&comps), &SaConfig::paper()).unwrap();
         assert!(p.is_legal());
         assert_eq!(p.len(), 1);
     }
@@ -874,20 +803,32 @@ mod tests {
             defects.block_cell(CellPos::new(i, i));
         }
         defects.kill_component(ComponentId::new(2));
-        let p = place_sa_with_defects(&comps, &nets, grid, &SaConfig::paper(), &defects).unwrap();
+        let (p, _) = place_sa(
+            &comps,
+            &nets,
+            grid,
+            &SaConfig::paper(),
+            &defects,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert!(p.is_legal());
         assert_eq!(p.defect_overlap(&defects), None);
     }
 
+    /// The annealer reads blocked cells and dead components only: routing
+    /// penalties leave the pristine anneal bit-identical.
     #[test]
     fn pristine_defects_reproduce_plain_sa() {
         let (g, comps, s) = chain_workload();
         let nets = NetList::build(&s, &g, &LogLinearWash::paper_calibrated(), 0.6, 0.4);
         let grid = auto_grid(&comps);
         let cfg = SaConfig::paper().with_seed(11);
-        let plain = place_sa(&comps, &nets, grid, &cfg).unwrap();
-        let with =
-            place_sa_with_defects(&comps, &nets, grid, &cfg, &DefectMap::pristine()).unwrap();
+        let (plain, _) = anneal(&comps, &nets, grid, &cfg).unwrap();
+        let mut penalized = DefectMap::pristine();
+        penalized.penalize_cell(CellPos::new(2, 2), 5);
+        let (with, _) =
+            place_sa(&comps, &nets, grid, &cfg, &penalized, &Budget::unlimited()).unwrap();
         assert_eq!(plain, with);
     }
 
@@ -902,7 +843,14 @@ mod tests {
                 defects.block_cell(CellPos::new(x, y));
             }
         }
-        let err = place_sa_with_defects(&comps, &nets, grid, &SaConfig::paper(), &defects);
+        let err = place_sa(
+            &comps,
+            &nets,
+            grid,
+            &SaConfig::paper(),
+            &defects,
+            &Budget::unlimited(),
+        );
         assert!(matches!(err, Err(PlaceError::DefectBlocked { .. })));
     }
 
@@ -912,7 +860,7 @@ mod tests {
         // packing succeeds.
         let comps = Allocation::new(3, 1, 0, 0).instantiate(&ComponentLibrary::default());
         let nets = empty_netlist();
-        let p = place_sa(&comps, &nets, GridSpec::square(12), &SaConfig::paper()).unwrap();
+        let (p, _) = anneal(&comps, &nets, GridSpec::square(12), &SaConfig::paper()).unwrap();
         assert!(p.is_legal());
     }
 }

@@ -23,7 +23,14 @@ fn netlist_for(alloc: Allocation, seed: u64) -> (ComponentSet, NetList) {
             .kind_weights([1, 0, 0, 0])
             .generate()
     };
-    let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+    let s = schedule(
+        &g,
+        &comps,
+        &wash,
+        &SchedulerConfig::paper_dcsa(),
+        &DefectMap::pristine(),
+    )
+    .unwrap();
     let nets = NetList::build(&s, &g, &wash, 0.6, 0.4);
     (comps, nets)
 }
@@ -32,23 +39,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn all_three_placers_produce_legal_placements(
+    fn both_placers_produce_legal_placements(
         alloc in arb_alloc(),
         seed in any::<u64>(),
     ) {
         let (comps, nets) = netlist_for(alloc, seed);
         let grid = auto_grid(&comps);
+        let pristine = DefectMap::pristine();
 
-        let sa = place_sa(&comps, &nets, grid, &SaConfig::paper()).unwrap();
+        let (sa, _) =
+            place_sa(&comps, &nets, grid, &SaConfig::paper(), &pristine, &Budget::unlimited())
+                .unwrap();
         prop_assert!(sa.is_legal(), "SA illegal: {:?}", sa.legality_violation());
 
-        let con = place_constructive(&comps, &nets, grid).unwrap();
+        let con = place_constructive(&comps, &nets, grid, &pristine).unwrap();
         prop_assert!(con.is_legal(), "constructive illegal");
-
-        let pristine = DefectMap::pristine();
-        let tempered = SaConfig::paper().with_chains(4);
-        let pt = place_sa_tempered(&comps, &nets, grid, &tempered, &pristine).unwrap();
-        prop_assert!(pt.is_legal(), "tempered SA illegal: {:?}", pt.legality_violation());
     }
 
     #[test]
@@ -57,7 +62,15 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (comps, nets) = netlist_for(alloc, seed);
-        let p = place_sa(&comps, &nets, auto_grid(&comps), &SaConfig::paper()).unwrap();
+        let (p, _) = place_sa(
+            &comps,
+            &nets,
+            auto_grid(&comps),
+            &SaConfig::paper(),
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         for c in comps.ids() {
             let port = p.port(c);
             prop_assert!(p.grid().contains(port));
@@ -92,7 +105,15 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (comps, nets) = netlist_for(alloc, seed);
-        let p = place_sa(&comps, &nets, auto_grid(&comps), &SaConfig::paper()).unwrap();
+        let (p, _) = place_sa(
+            &comps,
+            &nets,
+            auto_grid(&comps),
+            &SaConfig::paper(),
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         let none = energy_with_spacing(&p, &nets, SpacingParams::off());
         let some = energy_with_spacing(
             &p,
@@ -112,7 +133,15 @@ proptest! {
         // Shifting the entire placement rigidly must not change Eq. (3).
         let (comps, nets) = netlist_for(alloc, seed);
         let grid = GridSpec::square(auto_grid(&comps).width + 4);
-        let p = place_sa(&comps, &nets, auto_grid(&comps), &SaConfig::paper()).unwrap();
+        let (p, _) = place_sa(
+            &comps,
+            &nets,
+            auto_grid(&comps),
+            &SaConfig::paper(),
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         // Ports flip sides at the grid boundary; keep everything interior
         // so the rigid shift preserves port geometry.
         prop_assume!(p.rects().iter().all(|r| r.origin.y >= 1));

@@ -33,7 +33,9 @@ const MAX_POSTPONE: Duration = Duration::from_secs(3600);
 
 /// Routes `schedule` with the baseline's construction-by-correction
 /// strategy (see module docs). Uses **unweighted** shortest paths — the
-/// baseline has no wash-aware channel-sharing bias.
+/// baseline has no wash-aware channel-sharing bias. Both the conflict-blind
+/// phase-1 paths and every phase-2 correction avoid the blocked cells of
+/// `defects`; pass [`DefectMap::pristine`] for an undamaged chip.
 ///
 /// # Errors
 ///
@@ -41,30 +43,6 @@ const MAX_POSTPONE: Duration = Duration::from_secs(3600);
 /// [`RouteError::CorrectionDiverged`] when a task cannot be placed within
 /// the postponement budget.
 pub fn route_corrected(
-    schedule: &Schedule,
-    graph: &SequencingGraph,
-    placement: &Placement,
-    wash: &dyn WashModel,
-    config: &RouterConfig,
-) -> Result<Routing, RouteError> {
-    route_corrected_with_defects(
-        schedule,
-        graph,
-        placement,
-        wash,
-        config,
-        &DefectMap::pristine(),
-    )
-}
-
-/// [`route_corrected`] on a damaged chip: both the conflict-blind phase-1
-/// paths and every phase-2 correction avoid the defect map's blocked cells.
-/// With a pristine map this is exactly the plain baseline.
-///
-/// # Errors
-///
-/// Same as [`route_corrected`].
-pub fn route_corrected_with_defects(
     schedule: &Schedule,
     graph: &SequencingGraph,
     placement: &Placement,
@@ -313,6 +291,24 @@ mod tests {
         LogLinearWash::paper_calibrated()
     }
 
+    fn sched(
+        g: &SequencingGraph,
+        comps: &ComponentSet,
+        cfg: &SchedulerConfig,
+    ) -> Result<Schedule, mfb_sched::error::SchedError> {
+        run_sched(g, comps, &wash(), cfg, &DefectMap::pristine())
+    }
+
+    /// [`route_corrected`] on a pristine chip.
+    fn corrected(
+        s: &Schedule,
+        g: &SequencingGraph,
+        p: &Placement,
+        cfg: &RouterConfig,
+    ) -> Result<Routing, RouteError> {
+        route_corrected(s, g, p, &wash(), cfg, &DefectMap::pristine())
+    }
+
     fn two_chain_setup() -> (SequencingGraph, ComponentSet, Schedule, Placement) {
         let mut b = SequencingGraph::builder();
         let m0 = b.operation(OperationKind::Mix, Duration::from_secs(5), d_wash(8.0));
@@ -323,7 +319,7 @@ mod tests {
         b.edge(m1, h1).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(2, 2, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = run_sched(&g, &comps, &wash(), &SchedulerConfig::paper_baseline()).unwrap();
+        let s = sched(&g, &comps, &SchedulerConfig::paper_baseline()).unwrap();
         let placement = Placement::new(
             GridSpec::square(18),
             vec![
@@ -339,7 +335,7 @@ mod tests {
     #[test]
     fn corrected_routing_covers_all_tasks() {
         let (g, _c, s, p) = two_chain_setup();
-        let r = route_corrected(&s, &g, &p, &wash(), &RouterConfig::paper()).unwrap();
+        let r = corrected(&s, &g, &p, &RouterConfig::paper()).unwrap();
         assert_eq!(r.paths.len(), s.transports().len());
         for path in &r.paths {
             assert!(!path.is_empty());
@@ -352,7 +348,7 @@ mod tests {
     #[test]
     fn uncongested_layout_needs_no_delay() {
         let (g, _c, s, p) = two_chain_setup();
-        let r = route_corrected(&s, &g, &p, &wash(), &RouterConfig::paper()).unwrap();
+        let r = corrected(&s, &g, &p, &RouterConfig::paper()).unwrap();
         assert_eq!(r.completion(), s.completion_time());
         assert_eq!(r.total_delay(&s), Duration::ZERO);
     }
@@ -360,7 +356,7 @@ mod tests {
     #[test]
     fn realized_windows_never_conflict() {
         let (g, _c, s, p) = two_chain_setup();
-        let r = route_corrected(&s, &g, &p, &wash(), &RouterConfig::paper()).unwrap();
+        let r = corrected(&s, &g, &p, &RouterConfig::paper()).unwrap();
         // Re-check pairwise: tasks with overlapping realized windows share
         // no cell.
         for i in 0..r.paths.len() {
@@ -386,7 +382,7 @@ mod tests {
         b.edge(m1, h1).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(2, 2, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = run_sched(&g, &comps, &wash(), &SchedulerConfig::paper_baseline()).unwrap();
+        let s = sched(&g, &comps, &SchedulerConfig::paper_baseline()).unwrap();
         // Mixers on the left, heaters on the right, with walls leaving a
         // single corridor row at y = 6.
         let placement = Placement::new(
@@ -404,7 +400,7 @@ mod tests {
         // heavily on the only short corridor — with a 20x13 grid and both
         // windows identical, disjoint detours exist, so just assert the
         // corrected routing stays conflict-free and completes.
-        let r = route_corrected(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
+        let r = corrected(&s, &g, &placement, &RouterConfig::paper()).unwrap();
         for i in 0..r.paths.len() {
             for j in (i + 1)..r.paths.len() {
                 assert!(!r.paths[i].conflicts_with(&r.paths[j]));
@@ -419,8 +415,18 @@ mod tests {
         // unweighted baseline tends to spread. Compare distinct cells used
         // on the same schedule and placement.
         let (g, _c, s, p) = two_chain_setup();
-        let ours = route_dcsa(&s, &g, &p, &wash(), &RouterConfig::paper()).unwrap();
-        let ba = route_corrected(&s, &g, &p, &wash(), &RouterConfig::paper()).unwrap();
+        let ours = route_dcsa(
+            &s,
+            &g,
+            &p,
+            &wash(),
+            &RouterConfig::paper(),
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+            &mut SearchScratch::new(),
+        )
+        .unwrap();
+        let ba = corrected(&s, &g, &p, &RouterConfig::paper()).unwrap();
         // Not a theorem on one tiny instance, but sharing can only help:
         // allow equality and a small slack.
         assert!(
@@ -434,8 +440,8 @@ mod tests {
     #[test]
     fn corrected_routing_is_deterministic() {
         let (g, _c, s, p) = two_chain_setup();
-        let a = route_corrected(&s, &g, &p, &wash(), &RouterConfig::paper()).unwrap();
-        let b = route_corrected(&s, &g, &p, &wash(), &RouterConfig::paper()).unwrap();
+        let a = corrected(&s, &g, &p, &RouterConfig::paper()).unwrap();
+        let b = corrected(&s, &g, &p, &RouterConfig::paper()).unwrap();
         assert_eq!(a, b);
     }
 }

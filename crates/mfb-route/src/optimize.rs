@@ -22,32 +22,12 @@ const MAX_SWEEPS: usize = 3;
 
 /// Re-routes tasks of `routing` to reduce the distinct-cell channel count
 /// (Table I's *total channel length*). Returns the improved routing;
-/// idempotent once no task improves.
-pub fn optimize_channel_length(
-    routing: &Routing,
-    schedule: &Schedule,
-    graph: &SequencingGraph,
-    placement: &Placement,
-    wash: &dyn WashModel,
-    config: &RouterConfig,
-) -> Routing {
-    optimize_channel_length_with_defects(
-        routing,
-        schedule,
-        graph,
-        placement,
-        wash,
-        config,
-        &DefectMap::pristine(),
-    )
-}
-
-/// [`optimize_channel_length`] on a damaged chip: re-routes are attempted on
-/// a defect-aware grid, so the optimizer never trades a legal detour for a
-/// shorter path through a blocked cell. With a pristine map this is exactly
-/// the plain optimizer.
+/// idempotent once no task improves. Re-routes are attempted on a
+/// defect-aware grid, so the optimizer never trades a legal detour for a
+/// shorter path through a blocked cell of `defects`; pass
+/// [`DefectMap::pristine`] for an undamaged chip.
 #[allow(clippy::too_many_arguments)]
-pub fn optimize_channel_length_with_defects(
+pub fn optimize_channel_length(
     routing: &Routing,
     schedule: &Schedule,
     graph: &SequencingGraph,
@@ -167,10 +147,35 @@ mod tests {
             .find(|b| b.name == name)
             .unwrap();
         let comps = b.components(&ComponentLibrary::default());
-        let s = run_sched(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = run_sched(
+            &b.graph,
+            &comps,
+            &wash,
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let nets = NetList::build(&s, &b.graph, &wash, 0.6, 0.4);
-        let p = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
-        let r = route_dcsa(&s, &b.graph, &p, &wash, &RouterConfig::paper()).unwrap();
+        let (p, _) = place_sa(
+            &comps,
+            &nets,
+            auto_grid(&comps),
+            &SaConfig::paper(),
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
+        let r = route_dcsa(
+            &s,
+            &b.graph,
+            &p,
+            &wash,
+            &RouterConfig::paper(),
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+            &mut SearchScratch::new(),
+        )
+        .unwrap();
         (b.graph, comps, s, p, r)
     }
 
@@ -179,7 +184,15 @@ mod tests {
         let wash = LogLinearWash::paper_calibrated();
         for name in ["IVD", "CPA", "Synthetic1"] {
             let (g, _c, s, p, r) = setup(name);
-            let opt = optimize_channel_length(&r, &s, &g, &p, &wash, &RouterConfig::paper());
+            let opt = optimize_channel_length(
+                &r,
+                &s,
+                &g,
+                &p,
+                &wash,
+                &RouterConfig::paper(),
+                &DefectMap::pristine(),
+            );
             assert!(
                 opt.used_cells <= r.used_cells,
                 "{name}: {} -> {}",
@@ -202,8 +215,24 @@ mod tests {
     fn is_idempotent_once_converged() {
         let wash = LogLinearWash::paper_calibrated();
         let (g, _c, s, p, r) = setup("IVD");
-        let once = optimize_channel_length(&r, &s, &g, &p, &wash, &RouterConfig::paper());
-        let twice = optimize_channel_length(&once, &s, &g, &p, &wash, &RouterConfig::paper());
+        let once = optimize_channel_length(
+            &r,
+            &s,
+            &g,
+            &p,
+            &wash,
+            &RouterConfig::paper(),
+            &DefectMap::pristine(),
+        );
+        let twice = optimize_channel_length(
+            &once,
+            &s,
+            &g,
+            &p,
+            &wash,
+            &RouterConfig::paper(),
+            &DefectMap::pristine(),
+        );
         assert_eq!(once.used_cells, twice.used_cells);
     }
 }

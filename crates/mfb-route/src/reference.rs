@@ -379,30 +379,8 @@ fn collect_washes(
 ///
 /// # Errors
 ///
-/// Same as [`crate::router::route_dcsa`].
+/// Same as [`crate::router::route_dcsa`], less the budget interrupt.
 pub fn route_dcsa_reference(
-    schedule: &Schedule,
-    graph: &SequencingGraph,
-    placement: &Placement,
-    wash: &dyn WashModel,
-    config: &RouterConfig,
-) -> Result<Routing, RouteError> {
-    route_dcsa_reference_with_defects(
-        schedule,
-        graph,
-        placement,
-        wash,
-        config,
-        &DefectMap::pristine(),
-    )
-}
-
-/// Defect-aware variant of [`route_dcsa_reference`].
-///
-/// # Errors
-///
-/// Same as [`crate::router::route_dcsa_with_defects`].
-pub fn route_dcsa_reference_with_defects(
     schedule: &Schedule,
     graph: &SequencingGraph,
     placement: &Placement,

@@ -399,105 +399,43 @@ pub fn ports(placement: &Placement, grid: &RoutingGrid, c: ComponentId) -> Vec<C
 /// the scheduled windows, and feasibility is guaranteed cell-by-cell, so
 /// the scheduled times are achievable on the physical layout.
 ///
+/// Blocked cells of `defects` are permanently occupied (∞ cost), so no
+/// path — transport, parking or rip-up reference — ever crosses one, and
+/// degraded cells pay their extra weight in Eq. (5); pass
+/// [`DefectMap::pristine`] for an undamaged chip.
+///
+/// `budget` is installed on `scratch` for the duration of the call and
+/// polled per routed task plus every few thousand A* expansions, so a
+/// tripped deadline or cancellation surfaces as [`RouteError::Interrupted`]
+/// within milliseconds instead of after the full pass; an unlimited budget
+/// leaves the search bit-identical. The arena (and its accumulated
+/// [`crate::astar::SearchStats`]) survives the call, so batch drivers reuse
+/// one arena across placements and `mfb bench` reads expansion counts from
+/// it.
+///
 /// # Errors
 ///
 /// [`RouteError::Unroutable`] when some task admits no conflict-free path
 /// (the grid is too congested — retry on a larger grid);
-/// [`RouteError::NoPorts`] when a component is walled in.
+/// [`RouteError::NoPorts`] when a component is walled in (a chip whose
+/// defects sever every corridor surfaces as either);
+/// [`RouteError::Interrupted`] when the budget trips.
+#[allow(clippy::too_many_arguments)]
 pub fn route_dcsa(
     schedule: &Schedule,
     graph: &SequencingGraph,
     placement: &Placement,
     wash: &dyn WashModel,
     config: &RouterConfig,
-) -> Result<Routing, RouteError> {
-    route_dcsa_with_defects(
-        schedule,
-        graph,
-        placement,
-        wash,
-        config,
-        &DefectMap::pristine(),
-    )
-}
-
-/// [`route_dcsa`] on a damaged chip: blocked cells of `defects` are
-/// permanently occupied (∞ cost) for the time-windowed A*, so no path —
-/// transport, parking or rip-up reference — ever crosses one, and degraded
-/// cells pay their extra weight in Eq. (5).
-///
-/// # Errors
-///
-/// Same as [`route_dcsa`]; a chip whose defects sever every corridor
-/// surfaces as [`RouteError::Unroutable`] or [`RouteError::NoPorts`].
-pub fn route_dcsa_with_defects(
-    schedule: &Schedule,
-    graph: &SequencingGraph,
-    placement: &Placement,
-    wash: &dyn WashModel,
-    config: &RouterConfig,
     defects: &DefectMap,
-) -> Result<Routing, RouteError> {
-    let mut scratch = SearchScratch::new();
-    route_dcsa_with_scratch(
-        schedule,
-        graph,
-        placement,
-        wash,
-        config,
-        defects,
-        &mut scratch,
-    )
-}
-
-/// [`route_dcsa_with_defects`] under an execution [`Budget`]: the budget is
-/// installed on `scratch` and polled per routed task plus every few
-/// thousand A* expansions, so a tripped deadline or cancellation surfaces
-/// as [`RouteError::Interrupted`] within milliseconds instead of after the
-/// full pass. An unlimited budget leaves the search bit-identical to
-/// [`route_dcsa_with_scratch`].
-///
-/// # Errors
-///
-/// Same as [`route_dcsa`], plus [`RouteError::Interrupted`].
-#[allow(clippy::too_many_arguments)]
-pub fn route_dcsa_budgeted(
-    schedule: &Schedule,
-    graph: &SequencingGraph,
-    placement: &Placement,
-    wash: &dyn WashModel,
-    config: &RouterConfig,
-    defects: &DefectMap,
-    scratch: &mut SearchScratch,
     budget: &Budget,
+    scratch: &mut SearchScratch,
 ) -> Result<Routing, RouteError> {
     scratch.set_budget(budget);
-    let result =
-        route_dcsa_with_scratch(schedule, graph, placement, wash, config, defects, scratch);
-    scratch.set_budget(&Budget::unlimited());
-    result
-}
-
-/// [`route_dcsa_with_defects`] on a caller-owned [`SearchScratch`]: the
-/// arena (and its accumulated [`crate::astar::SearchStats`]) survives the
-/// call, so batch drivers reuse one arena across placements and `mfb
-/// bench` reads expansion counts from it.
-///
-/// # Errors
-///
-/// Same as [`route_dcsa`].
-pub fn route_dcsa_with_scratch(
-    schedule: &Schedule,
-    graph: &SequencingGraph,
-    placement: &Placement,
-    wash: &dyn WashModel,
-    config: &RouterConfig,
-    defects: &DefectMap,
-    scratch: &mut SearchScratch,
-) -> Result<Routing, RouteError> {
     let _span = mfb_obs::obs_span!("route.dcsa", tasks = schedule.transports().len() as u64);
     let stats_before = scratch.stats;
     let result = route_dcsa_orderings(schedule, graph, placement, wash, config, defects, scratch);
+    scratch.set_budget(&Budget::unlimited());
     if mfb_obs::enabled() {
         let d = scratch.stats;
         mfb_obs::obs_counter!("astar.queries", d.queries - stats_before.queries);
@@ -514,7 +452,7 @@ pub fn route_dcsa_with_scratch(
     result
 }
 
-/// The two-ordering routing strategy behind [`route_dcsa_with_scratch`].
+/// The two-ordering routing strategy behind [`route_dcsa`].
 #[allow(clippy::too_many_arguments)]
 fn route_dcsa_orderings(
     schedule: &Schedule,
@@ -541,7 +479,7 @@ fn route_dcsa_orderings(
     }
     let mut by_occupancy: Vec<&TransportTask> = schedule.transports().collect();
     by_occupancy.sort_by_key(|t| (std::cmp::Reverse(t.occupancy().length()), t.depart, t.id));
-    route_dcsa_ordered(
+    match route_dcsa_ordered(
         schedule,
         graph,
         placement,
@@ -550,8 +488,13 @@ fn route_dcsa_orderings(
         &by_occupancy,
         defects,
         scratch,
-    )
-    .or(first)
+    ) {
+        // An interrupt is not a verdict on the chip: reporting the first
+        // ordering's `Unroutable` instead would let a stage cache keep a
+        // failure that a longer deadline might not reproduce.
+        Err(e @ RouteError::Interrupted(_)) => Err(e),
+        second => second.or(first),
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -812,7 +755,7 @@ pub(crate) fn collect_washes(
 #[cfg(test)]
 mod tests {
     use super::*;
-
+    use mfb_place::prelude::{auto_grid, place_sa, NetList, SaConfig};
     use mfb_sched::list::{schedule as run_sched, SchedulerConfig};
 
     fn d_wash(secs: f64) -> DiffusionCoefficient {
@@ -821,6 +764,34 @@ mod tests {
 
     fn wash() -> LogLinearWash {
         LogLinearWash::paper_calibrated()
+    }
+
+    fn sched(
+        g: &SequencingGraph,
+        comps: &ComponentSet,
+        cfg: &SchedulerConfig,
+    ) -> Result<Schedule, mfb_sched::error::SchedError> {
+        run_sched(g, comps, &wash(), cfg, &DefectMap::pristine())
+    }
+
+    /// [`route_dcsa`] on a pristine chip, unbudgeted, on a fresh arena.
+    fn route(
+        s: &Schedule,
+        g: &SequencingGraph,
+        p: &Placement,
+        cfg: &RouterConfig,
+    ) -> Result<Routing, RouteError> {
+        let mut scratch = SearchScratch::new();
+        route_dcsa(
+            s,
+            g,
+            p,
+            &wash(),
+            cfg,
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+            &mut scratch,
+        )
     }
 
     /// Mix -> heat -> detect chain on a hand-made placement.
@@ -832,7 +803,7 @@ mod tests {
         b.chain(&[m, h, dt]).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 1, 0, 1).instantiate(&ComponentLibrary::default());
-        let s = run_sched(&g, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = sched(&g, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
         let placement = Placement::new(
             GridSpec::square(16),
             vec![
@@ -862,7 +833,7 @@ mod tests {
     #[test]
     fn routes_chain_without_delay() {
         let (g, _comps, s, placement) = chain_setup();
-        let r = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
+        let r = route(&s, &g, &placement, &RouterConfig::paper()).unwrap();
         assert_eq!(r.paths.len(), 2);
         assert_eq!(r.completion(), s.completion_time());
         assert_eq!(r.total_delay(&s), Duration::ZERO);
@@ -879,7 +850,7 @@ mod tests {
     #[test]
     fn paths_start_and_end_at_ports() {
         let (g, _comps, s, placement) = chain_setup();
-        let r = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
+        let r = route(&s, &g, &placement, &RouterConfig::paper()).unwrap();
         let grid = RoutingGrid::new(&placement, Duration::from_secs(10));
         for t in s.transports() {
             let p = &r.paths[t.id.index()];
@@ -893,22 +864,28 @@ mod tests {
     #[test]
     fn routing_is_deterministic() {
         let (g, _comps, s, placement) = chain_setup();
-        let a = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
-        let b = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
+        let a = route(&s, &g, &placement, &RouterConfig::paper()).unwrap();
+        let b = route(&s, &g, &placement, &RouterConfig::paper()).unwrap();
         assert_eq!(a, b);
     }
 
+    /// The router reads cell damage only: a dead component, a binding
+    /// concern, leaves the pristine routing unchanged.
     #[test]
     fn pristine_defects_match_plain_routing() {
         let (g, _comps, s, placement) = chain_setup();
-        let plain = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
-        let with = route_dcsa_with_defects(
+        let plain = route(&s, &g, &placement, &RouterConfig::paper()).unwrap();
+        let mut dead = DefectMap::pristine();
+        dead.kill_component(ComponentId::new(1));
+        let with = route_dcsa(
             &s,
             &g,
             &placement,
             &wash(),
             &RouterConfig::paper(),
-            &DefectMap::pristine(),
+            &dead,
+            &Budget::unlimited(),
+            &mut SearchScratch::new(),
         )
         .unwrap();
         assert_eq!(plain, with);
@@ -923,13 +900,15 @@ mod tests {
         for y in 0..14 {
             defects.block_cell(CellPos::new(6, y));
         }
-        let r = route_dcsa_with_defects(
+        let r = route_dcsa(
             &s,
             &g,
             &placement,
             &wash(),
             &RouterConfig::paper(),
             &defects,
+            &Budget::unlimited(),
+            &mut SearchScratch::new(),
         )
         .unwrap();
         for p in &r.paths {
@@ -937,7 +916,7 @@ mod tests {
                 assert!(!defects.is_blocked(c), "path crosses blocked cell {c}");
             }
         }
-        let plain = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
+        let plain = route(&s, &g, &placement, &RouterConfig::paper()).unwrap();
         let len = |r: &Routing| r.paths.iter().map(|p| p.cells.len()).sum::<usize>();
         assert!(
             len(&r) > len(&plain),
@@ -952,7 +931,7 @@ mod tests {
         for y in 0..14 {
             defects.block_cell(CellPos::new(6, y));
         }
-        let r = crate::baseline::route_corrected_with_defects(
+        let r = crate::baseline::route_corrected(
             &s,
             &g,
             &placement,
@@ -981,7 +960,7 @@ mod tests {
         b.edge(m1, h1).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(2, 2, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = run_sched(&g, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = sched(&g, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
         let placement = Placement::new(
             GridSpec::square(18),
             vec![
@@ -992,7 +971,7 @@ mod tests {
             ],
         );
         assert!(placement.is_legal());
-        let r = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
+        let r = route(&s, &g, &placement, &RouterConfig::paper()).unwrap();
 
         for i in 0..r.paths.len() {
             for j in (i + 1)..r.paths.len() {
@@ -1011,7 +990,7 @@ mod tests {
             wash_aware_weights: false,
             ..RouterConfig::paper()
         };
-        let r = route_dcsa(&s, &g, &placement, &wash(), &cfg).unwrap();
+        let r = route(&s, &g, &placement, &cfg).unwrap();
         assert_eq!(r.completion(), s.completion_time());
         for i in 0..r.paths.len() {
             for j in (i + 1)..r.paths.len() {
@@ -1027,7 +1006,7 @@ mod tests {
             plug_cells: 3,
             ..RouterConfig::paper()
         };
-        let r = route_dcsa(&s, &g, &placement, &wash(), &cfg).unwrap();
+        let r = route(&s, &g, &placement, &cfg).unwrap();
         // Every multi-cell path must end with plug_cells full-window cells.
         for p in &r.paths {
             if p.len() < 4 {
@@ -1054,13 +1033,13 @@ mod tests {
         b.edge(o0, o2).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = run_sched(&g, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = sched(&g, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
         assert!(s.transports().len() > 0, "expected a self-transport");
         let placement = Placement::new(
             GridSpec::new(4, 3, 10.0),
             vec![CellRect::new(CellPos::new(0, 0), 4, 3)],
         );
-        let r = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper());
+        let r = route(&s, &g, &placement, &RouterConfig::paper());
         assert!(matches!(r, Err(RouteError::NoPorts { .. })), "{r:?}");
     }
 
@@ -1073,14 +1052,115 @@ mod tests {
         b.edge(o0, o2).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = run_sched(&g, &comps, &wash(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = sched(&g, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
         let placement = Placement::new(
             GridSpec::square(10),
             vec![CellRect::new(CellPos::new(3, 3), 4, 3)],
         );
-        let r = route_dcsa(&s, &g, &placement, &wash(), &RouterConfig::paper()).unwrap();
+        let r = route(&s, &g, &placement, &RouterConfig::paper()).unwrap();
         // The evicted fluid parks in a single channel cell next to the mixer.
         let self_task = s.transports().find(|t| t.src == t.dst).unwrap();
         assert_eq!(r.paths[self_task.id.index()].len(), 1);
+    }
+
+    /// A wash model that counts its calls and fires `token` on call number
+    /// `fire_at`, so a test can cancel a routing at an exact point.
+    #[derive(Debug)]
+    struct CancelOnCall {
+        calls: std::sync::atomic::AtomicU64,
+        fire_at: u64,
+        token: CancelToken,
+    }
+
+    impl CancelOnCall {
+        fn new(fire_at: u64) -> Self {
+            CancelOnCall {
+                calls: Default::default(),
+                fire_at,
+                token: CancelToken::new(),
+            }
+        }
+
+        fn calls(&self) -> u64 {
+            self.calls.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl WashModel for CancelOnCall {
+        fn wash_time(&self, d: DiffusionCoefficient) -> Duration {
+            let n = self
+                .calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                + 1;
+            if n == self.fire_at {
+                self.token.cancel();
+            }
+            wash().wash_time(d)
+        }
+    }
+
+    #[test]
+    fn interrupt_during_the_second_ordering_is_reported_as_interrupted() {
+        // Synthetic1 annealed at seed 0xD1CE + 3 on its auto grid: the
+        // start-time ordering fails, the by-occupancy ordering routes.
+        let b = mfb_bench_suite::table1_benchmarks().swap_remove(3);
+        assert_eq!(b.name, "Synthetic1");
+        let comps = b.components(&ComponentLibrary::default());
+        let pristine = DefectMap::pristine();
+        let s = sched(&b.graph, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
+        let nets = NetList::build(&s, &b.graph, &wash(), 0.6, 0.4);
+        let (placement, _) = place_sa(
+            &comps,
+            &nets,
+            auto_grid(&comps),
+            &SaConfig::paper().with_seed(0xD1CE + 3),
+            &pristine,
+            &Budget::unlimited(),
+        )
+        .unwrap();
+        let config = RouterConfig::paper();
+
+        // How many wash lookups the failing first ordering makes.
+        let counting = CancelOnCall::new(u64::MAX);
+        let mut by_start: Vec<&TransportTask> = s.transports().collect();
+        by_start.sort_by_key(|t| (t.depart, t.id));
+        let first = route_dcsa_ordered(
+            &s,
+            &b.graph,
+            &placement,
+            &counting,
+            &config,
+            &by_start,
+            &pristine,
+            &mut SearchScratch::new(),
+        );
+        assert!(
+            matches!(first, Err(RouteError::Unroutable { .. })),
+            "{first:?}"
+        );
+        let uncancelled = route(&s, &b.graph, &placement, &config);
+        assert!(uncancelled.is_ok(), "{uncancelled:?}");
+
+        // Cancel on the second ordering's first wash lookup.
+        let cancelling = CancelOnCall::new(counting.calls() + 1);
+        let budget = Budget::unlimited().with_cancel(cancelling.token.clone());
+        let r = route_dcsa(
+            &s,
+            &b.graph,
+            &placement,
+            &cancelling,
+            &config,
+            &pristine,
+            &budget,
+            &mut SearchScratch::new(),
+        );
+        assert!(
+            cancelling.calls() > counting.calls(),
+            "the second ordering ran"
+        );
+        assert!(
+            matches!(r, Err(RouteError::Interrupted(BudgetExceeded::Cancelled))),
+            "{r:?}"
+        );
     }
 }

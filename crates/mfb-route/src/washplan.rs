@@ -290,6 +290,7 @@ fn flush_path(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::astar::SearchScratch;
     use crate::router::route_dcsa;
     use mfb_place::prelude::*;
     use mfb_sched::list::{schedule as run_sched, SchedulerConfig};
@@ -309,10 +310,35 @@ mod tests {
             .find(|b| b.name == name)
             .unwrap();
         let comps = b.components(&ComponentLibrary::default());
-        let s = run_sched(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = run_sched(
+            &b.graph,
+            &comps,
+            &wash,
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let nets = NetList::build(&s, &b.graph, &wash, 0.6, 0.4);
-        let p = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
-        let r = route_dcsa(&s, &b.graph, &p, &wash, &RouterConfig::paper()).unwrap();
+        let (p, _) = place_sa(
+            &comps,
+            &nets,
+            auto_grid(&comps),
+            &SaConfig::paper(),
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
+        let r = route_dcsa(
+            &s,
+            &b.graph,
+            &p,
+            &wash,
+            &RouterConfig::paper(),
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+            &mut SearchScratch::new(),
+        )
+        .unwrap();
         (b.graph, s, p, r, wash)
     }
 

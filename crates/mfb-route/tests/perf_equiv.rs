@@ -11,10 +11,7 @@ use mfb_bench_suite::table1_benchmarks;
 use mfb_model::prelude::*;
 use mfb_place::prelude::*;
 use mfb_route::prelude::*;
-use mfb_route::reference::{
-    dijkstra_map_reference, find_path_reference, route_dcsa_reference,
-    route_dcsa_reference_with_defects,
-};
+use mfb_route::reference::{dijkstra_map_reference, find_path_reference, route_dcsa_reference};
 use mfb_sched::list::{schedule, SchedulerConfig};
 use mfb_sched::prelude::Schedule;
 
@@ -175,9 +172,24 @@ fn off_grid_targets_return_none_like_reference() {
 fn synthesized(b: &mfb_bench_suite::Benchmark) -> (SequencingGraph, Schedule, Placement) {
     let wash = LogLinearWash::paper_calibrated();
     let comps = b.components(&ComponentLibrary::default());
-    let s = schedule(&b.graph, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+    let s = schedule(
+        &b.graph,
+        &comps,
+        &wash,
+        &SchedulerConfig::paper_dcsa(),
+        &DefectMap::pristine(),
+    )
+    .unwrap();
     let nets = NetList::build(&s, &b.graph, &wash, 0.6, 0.4);
-    let p = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
+    let (p, _) = place_sa(
+        &comps,
+        &nets,
+        auto_grid(&comps),
+        &SaConfig::paper(),
+        &DefectMap::pristine(),
+        &Budget::unlimited(),
+    )
+    .unwrap();
     (b.graph.clone(), s, p)
 }
 
@@ -190,8 +202,17 @@ fn optimized_router_matches_reference_on_all_table1_benchmarks() {
         // Routings must match, and so must failures (e.g. Synthetic4 is
         // unroutable on a bare SA placement until the recovery ladder grows
         // the grid — both sides must agree on the exact error).
-        let fast = route_dcsa(&s, &graph, &p, &wash, &config);
-        let slow = route_dcsa_reference(&s, &graph, &p, &wash, &config);
+        let fast = route_dcsa(
+            &s,
+            &graph,
+            &p,
+            &wash,
+            &config,
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+            &mut SearchScratch::new(),
+        );
+        let slow = route_dcsa_reference(&s, &graph, &p, &wash, &config, &DefectMap::pristine());
         assert_eq!(fast, slow, "{} routing diverged", b.name);
     }
 }
@@ -207,8 +228,17 @@ fn optimized_router_matches_reference_under_defects() {
     for i in 0..spec.width.min(spec.height) / 3 {
         defects.block_cell(CellPos::new(3 * i, 3 * i));
     }
-    let fast = route_dcsa_with_defects(&s, &graph, &p, &wash, &config, &defects);
-    let slow = route_dcsa_reference_with_defects(&s, &graph, &p, &wash, &config, &defects);
+    let fast = route_dcsa(
+        &s,
+        &graph,
+        &p,
+        &wash,
+        &config,
+        &defects,
+        &Budget::unlimited(),
+        &mut SearchScratch::new(),
+    );
+    let slow = route_dcsa_reference(&s, &graph, &p, &wash, &config, &defects);
     assert_eq!(fast, slow, "defect routing diverged");
 }
 
@@ -219,13 +249,14 @@ fn scratch_stats_expose_search_effort() {
     let b = table1_benchmarks().swap_remove(2); // CPA: routes on a bare SA placement
     let (graph, s, p) = synthesized(&b);
     let mut scratch = SearchScratch::new();
-    let r = route_dcsa_with_scratch(
+    let r = route_dcsa(
         &s,
         &graph,
         &p,
         &wash,
         &config,
         &DefectMap::pristine(),
+        &Budget::unlimited(),
         &mut scratch,
     )
     .unwrap();

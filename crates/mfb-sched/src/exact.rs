@@ -176,9 +176,19 @@ fn simulate_binding(
 mod tests {
     use super::*;
     use crate::list::{schedule, SchedulerConfig};
+    use crate::schedule::Schedule;
 
     fn wash() -> LogLinearWash {
         LogLinearWash::paper_calibrated()
+    }
+
+    /// [`schedule`] on a pristine chip.
+    fn sched(
+        g: &SequencingGraph,
+        comps: &ComponentSet,
+        cfg: &SchedulerConfig,
+    ) -> Result<Schedule, SchedError> {
+        schedule(g, comps, &wash(), cfg, &DefectMap::pristine())
     }
 
     fn d_wash(secs: f64) -> DiffusionCoefficient {
@@ -226,7 +236,7 @@ mod tests {
         let comps = Allocation::new(2, 0, 0, 0).instantiate(&ComponentLibrary::default());
 
         let opt = optimal_makespan(&g, &comps, &wash(), t_c()).unwrap();
-        let heur = schedule(&g, &comps, &wash(), &SchedulerConfig::paper_dcsa())
+        let heur = sched(&g, &comps, &SchedulerConfig::paper_dcsa())
             .unwrap()
             .completion_time()
             - Instant::ZERO;
@@ -262,7 +272,7 @@ mod tests {
             let g = b.build().unwrap();
             let comps = Allocation::new(2, 1, 0, 1).instantiate(&ComponentLibrary::default());
             let opt = optimal_makespan(&g, &comps, &wash(), t_c()).unwrap();
-            let heur = schedule(&g, &comps, &wash(), &SchedulerConfig::paper_dcsa())
+            let heur = sched(&g, &comps, &SchedulerConfig::paper_dcsa())
                 .unwrap()
                 .completion_time()
                 - Instant::ZERO;
@@ -287,11 +297,11 @@ mod tests {
         let g = b.build().unwrap();
         let comps = Allocation::new(2, 0, 0, 0).instantiate(&ComponentLibrary::default());
         let opt = optimal_makespan(&g, &comps, &wash(), t_c()).unwrap();
-        let ours = schedule(&g, &comps, &wash(), &SchedulerConfig::paper_dcsa())
+        let ours = sched(&g, &comps, &SchedulerConfig::paper_dcsa())
             .unwrap()
             .completion_time()
             - Instant::ZERO;
-        let ba = schedule(&g, &comps, &wash(), &SchedulerConfig::paper_baseline())
+        let ba = sched(&g, &comps, &SchedulerConfig::paper_baseline())
             .unwrap()
             .completion_time()
             - Instant::ZERO;

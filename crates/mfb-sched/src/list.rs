@@ -79,32 +79,18 @@ impl SchedulerConfig {
 }
 
 /// Runs binding and scheduling on `graph` over the component set
-/// `components`, with wash times given by `wash`.
-///
-/// # Errors
-///
-/// Returns [`SchedError::NoComponentForKind`] if the assay contains an
-/// operation kind with no allocated component.
-pub fn schedule(
-    graph: &SequencingGraph,
-    components: &ComponentSet,
-    wash: &dyn WashModel,
-    config: &SchedulerConfig,
-) -> Result<Schedule, SchedError> {
-    schedule_with_defects(graph, components, wash, config, &DefectMap::pristine())
-}
-
-/// [`schedule`] on a damaged chip: components marked dead in `defects` are
-/// excluded from binding entirely — Case II never selects them and Case I
-/// cannot reach them (operations are only ever bound to live components, so
-/// no resident fluid can sit in a dead one).
+/// `components`, with wash times given by `wash`. Components marked dead in
+/// `defects` are excluded from binding entirely — Case II never selects
+/// them and Case I cannot reach them (operations are only ever bound to
+/// live components, so no resident fluid can sit in a dead one). Pass
+/// [`DefectMap::pristine`] for an undamaged chip.
 ///
 /// # Errors
 ///
 /// [`SchedError::NoComponentForKind`] if an operation kind has no allocated
 /// component at all, [`SchedError::AllComponentsDead`] if components of the
 /// kind exist but the defect map kills every one.
-pub fn schedule_with_defects(
+pub fn schedule(
     graph: &SequencingGraph,
     components: &ComponentSet,
     wash: &dyn WashModel,
@@ -503,6 +489,15 @@ mod tests {
         LogLinearWash::paper_calibrated()
     }
 
+    /// [`schedule`] on a pristine chip.
+    fn sched(
+        g: &SequencingGraph,
+        comps: &ComponentSet,
+        cfg: &SchedulerConfig,
+    ) -> Result<Schedule, SchedError> {
+        schedule(g, comps, &wash_model(), cfg, &DefectMap::pristine())
+    }
+
     /// d such that wash time is exactly `secs`.
     fn d_wash(secs: f64) -> DiffusionCoefficient {
         wash_model().coefficient_for(Duration::from_secs_f64(secs))
@@ -517,13 +512,7 @@ mod tests {
         let mut b = SequencingGraph::builder();
         let o = b.operation(OperationKind::Mix, Duration::from_secs(5), d_wash(2.0));
         let g = b.build().unwrap();
-        let s = schedule(
-            &g,
-            &two_mixers(),
-            &wash_model(),
-            &SchedulerConfig::paper_dcsa(),
-        )
-        .unwrap();
+        let s = sched(&g, &two_mixers(), &SchedulerConfig::paper_dcsa()).unwrap();
         assert_eq!(s.op(o).start, Instant::ZERO);
         assert_eq!(s.op(o).end, Instant::from_secs(5));
         assert_eq!(s.completion_time(), Instant::from_secs(5));
@@ -540,13 +529,7 @@ mod tests {
         b.edge(o0, o1).unwrap();
         let g = b.build().unwrap();
 
-        let s = schedule(
-            &g,
-            &two_mixers(),
-            &wash_model(),
-            &SchedulerConfig::paper_dcsa(),
-        )
-        .unwrap();
+        let s = sched(&g, &two_mixers(), &SchedulerConfig::paper_dcsa()).unwrap();
         assert_eq!(s.binding(o0), s.binding(o1));
         assert_eq!(s.op(o1).start, Instant::from_secs(5)); // no t_c, no wash
         assert_eq!(s.in_place_count(), 1);
@@ -564,13 +547,7 @@ mod tests {
         b.edge(o0, o1).unwrap();
         let g = b.build().unwrap();
 
-        let s = schedule(
-            &g,
-            &two_mixers(),
-            &wash_model(),
-            &SchedulerConfig::paper_baseline(),
-        )
-        .unwrap();
+        let s = sched(&g, &two_mixers(), &SchedulerConfig::paper_baseline()).unwrap();
         assert_ne!(s.binding(o0), s.binding(o1));
         assert_eq!(s.op(o1).start, Instant::from_secs(7)); // 5 + t_c
         assert_eq!(s.transports().len(), 1);
@@ -592,13 +569,7 @@ mod tests {
         b.edge(hard, child).unwrap();
         let g = b.build().unwrap();
 
-        let s = schedule(
-            &g,
-            &two_mixers(),
-            &wash_model(),
-            &SchedulerConfig::paper_dcsa(),
-        )
-        .unwrap();
+        let s = sched(&g, &two_mixers(), &SchedulerConfig::paper_dcsa()).unwrap();
         assert_eq!(s.binding(child), s.binding(hard));
         // The easy parent's fluid is transported and the hard one consumed
         // in place: only the easy mixer is washed (2 s), not the hard one.
@@ -616,13 +587,7 @@ mod tests {
         let g = b.build().unwrap();
         let one_mixer = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
 
-        let s = schedule(
-            &g,
-            &one_mixer,
-            &wash_model(),
-            &SchedulerConfig::paper_dcsa(),
-        )
-        .unwrap();
+        let s = sched(&g, &one_mixer, &SchedulerConfig::paper_dcsa()).unwrap();
         // Priorities equal; tie-break schedules o0 first.
         assert_eq!(s.op(o0).start, Instant::ZERO);
         assert_eq!(s.op(o1).start, Instant::from_secs(11)); // 5 + 6 s wash
@@ -645,13 +610,7 @@ mod tests {
         b.chain(&[long_head, long_mid, long_tail]).unwrap();
         let g = b.build().unwrap();
         let one_mixer = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = schedule(
-            &g,
-            &one_mixer,
-            &wash_model(),
-            &SchedulerConfig::paper_dcsa(),
-        )
-        .unwrap();
+        let s = sched(&g, &one_mixer, &SchedulerConfig::paper_dcsa()).unwrap();
         assert!(s.op(long_head).start < s.op(short).start);
     }
 
@@ -670,7 +629,7 @@ mod tests {
             t_c: Duration::from_secs(2),
             rule: BindingRule::StorageAwareUnordered,
         };
-        let s = schedule(&g, &two_mixers(), &wash_model(), &cfg).unwrap();
+        let s = sched(&g, &two_mixers(), &cfg).unwrap();
         assert_eq!(
             s.binding(child),
             s.binding(easy),
@@ -678,13 +637,7 @@ mod tests {
         );
         assert_eq!(s.in_place_count(), 1);
         // Contrast: the full rule prefers the hard-wash parent.
-        let full = schedule(
-            &g,
-            &two_mixers(),
-            &wash_model(),
-            &SchedulerConfig::paper_dcsa(),
-        )
-        .unwrap();
+        let full = sched(&g, &two_mixers(), &SchedulerConfig::paper_dcsa()).unwrap();
         assert_eq!(full.binding(child), full.binding(hard));
     }
 
@@ -701,7 +654,7 @@ mod tests {
         b.edge(slow, sink).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 1, 0, 1).instantiate(&ComponentLibrary::default());
-        let s = schedule(&g, &comps, &wash_model(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = sched(&g, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
         // sink starts at 22 (slow ends 20 + t_c); src's fluid departs at 20
         // (just in time), not at 5 — the mixer is never needed again.
         let t = s
@@ -729,7 +682,7 @@ mod tests {
         let _ = hog;
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 1, 0, 1).instantiate(&ComponentLibrary::default());
-        let s = schedule(&g, &comps, &wash_model(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = sched(&g, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
         let t = s
             .transports()
             .find(|t| t.fluid == src)
@@ -749,13 +702,7 @@ mod tests {
         let mut b = SequencingGraph::builder();
         b.operation(OperationKind::Heat, Duration::from_secs(2), d_wash(1.0));
         let g = b.build().unwrap();
-        let err = schedule(
-            &g,
-            &two_mixers(),
-            &wash_model(),
-            &SchedulerConfig::paper_dcsa(),
-        )
-        .unwrap_err();
+        let err = sched(&g, &two_mixers(), &SchedulerConfig::paper_dcsa()).unwrap_err();
         assert!(matches!(err, SchedError::NoComponentForKind { .. }));
         assert!(err.to_string().contains("heater"));
     }
@@ -771,7 +718,7 @@ mod tests {
         let comps = two_mixers();
         let mut defects = DefectMap::pristine();
         defects.kill_component(ComponentId::new(0));
-        let s = schedule_with_defects(
+        let s = schedule(
             &g,
             &comps,
             &wash_model(),
@@ -793,7 +740,7 @@ mod tests {
         defects
             .kill_component(ComponentId::new(0))
             .kill_component(ComponentId::new(1));
-        let err = schedule_with_defects(
+        let err = schedule(
             &g,
             &comps,
             &wash_model(),
@@ -811,6 +758,8 @@ mod tests {
         );
     }
 
+    /// Binding reads only the dead components of a defect map: damage
+    /// confined to cells schedules exactly like a pristine chip.
     #[test]
     fn pristine_defects_match_plain_schedule() {
         let mut b = SequencingGraph::builder();
@@ -819,15 +768,12 @@ mod tests {
         b.edge(o0, o1).unwrap();
         let g = b.build().unwrap();
         let cfg = SchedulerConfig::paper_dcsa();
-        let plain = schedule(&g, &two_mixers(), &wash_model(), &cfg).unwrap();
-        let with = schedule_with_defects(
-            &g,
-            &two_mixers(),
-            &wash_model(),
-            &cfg,
-            &DefectMap::pristine(),
-        )
-        .unwrap();
+        let plain = sched(&g, &two_mixers(), &cfg).unwrap();
+        let mut cells_only = DefectMap::pristine();
+        cells_only
+            .block_cell(CellPos::new(0, 0))
+            .penalize_cell(CellPos::new(1, 1), 5);
+        let with = schedule(&g, &two_mixers(), &wash_model(), &cfg, &cells_only).unwrap();
         assert_eq!(plain, with);
     }
 
@@ -844,7 +790,7 @@ mod tests {
         b.edge(h, m1).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 1, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = schedule(&g, &comps, &wash_model(), &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = sched(&g, &comps, &SchedulerConfig::paper_dcsa()).unwrap();
         // m1 consumes m0's fluid in place but must wait for the heat
         // output: start = end(h) + t_c = (5+2+2) + 2 = 11.
         assert_eq!(s.binding(m1), s.binding(m0));

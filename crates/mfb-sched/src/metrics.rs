@@ -124,6 +124,7 @@ mod tests {
             &comps,
             &LogLinearWash::paper_calibrated(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         let u = resource_utilization(&s, &comps);
@@ -141,6 +142,7 @@ mod tests {
             &comps,
             &LogLinearWash::paper_calibrated(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         let u = resource_utilization(&s, &comps);
@@ -165,6 +167,7 @@ mod tests {
             &comps,
             &LogLinearWash::paper_calibrated(),
             &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
         )
         .unwrap();
         let m = ScheduleMetrics::of(&s, &comps);

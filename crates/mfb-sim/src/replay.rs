@@ -341,11 +341,35 @@ pub(crate) mod test_support {
         b.edge(m2, dt).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(2, 0, 0, 1).instantiate(&ComponentLibrary::default());
-        let s =
-            mfb_sched::list::schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = mfb_sched::list::schedule(
+            &g,
+            &comps,
+            &wash,
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let nets = NetList::build(&s, &g, &wash, 0.6, 0.4);
-        let placement = place_sa_auto(&comps, &nets, &SaConfig::paper()).unwrap();
-        let routing = route_dcsa(&s, &g, &placement, &wash, &RouterConfig::paper()).unwrap();
+        let (placement, _) = place_sa(
+            &comps,
+            &nets,
+            auto_grid(&comps),
+            &SaConfig::paper(),
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
+        let routing = route_dcsa(
+            &s,
+            &g,
+            &placement,
+            &wash,
+            &RouterConfig::paper(),
+            &DefectMap::pristine(),
+            &Budget::unlimited(),
+            &mut SearchScratch::new(),
+        )
+        .unwrap();
         (g, comps, s, placement, routing, wash)
     }
 }

@@ -96,7 +96,14 @@ mod tests {
         let _ = (o0, o1);
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(
+            &g,
+            &comps,
+            &wash,
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let chart = render_gantt(&s, &comps);
         assert!(chart.contains("mixer"));
         assert!(chart.contains('['), "operation blocks missing:\n{chart}");
@@ -115,7 +122,14 @@ mod tests {
         b.edge(o0, o2).unwrap();
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(
+            &g,
+            &comps,
+            &wash,
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         assert!(s.total_cache_time() > Duration::ZERO);
         let chart = render_gantt(&s, &comps);
         assert!(chart.contains('='), "cache row missing:\n{chart}");
@@ -134,7 +148,14 @@ mod tests {
         }
         let g = b.build().unwrap();
         let comps = Allocation::new(1, 0, 0, 0).instantiate(&ComponentLibrary::default());
-        let s = schedule(&g, &comps, &wash, &SchedulerConfig::paper_dcsa()).unwrap();
+        let s = schedule(
+            &g,
+            &comps,
+            &wash,
+            &SchedulerConfig::paper_dcsa(),
+            &DefectMap::pristine(),
+        )
+        .unwrap();
         let chart = render_gantt(&s, &comps);
         for line in chart.lines() {
             assert!(line.len() <= MAX_COLS + 20, "line too wide: {}", line.len());

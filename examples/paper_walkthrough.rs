@@ -39,7 +39,14 @@ fn main() {
     );
 
     println!("\n== 2. Binding & scheduling (Algorithm 1) ==");
-    let sched = schedule(graph, &comps, &wash, &SchedulerConfig::paper_dcsa()).expect("schedules");
+    let sched = schedule(
+        graph,
+        &comps,
+        &wash,
+        &SchedulerConfig::paper_dcsa(),
+        &DefectMap::pristine(),
+    )
+    .expect("schedules");
     println!(
         "  completes {} | {} in-place (Case I), {} transports, cache {}",
         sched.completion_time(),
@@ -54,7 +61,15 @@ fn main() {
     for n in nets.nets() {
         println!("  {n}");
     }
-    let placement = place_sa_auto(&comps, &nets, &SaConfig::paper()).expect("places");
+    let (placement, _) = place_sa(
+        &comps,
+        &nets,
+        auto_grid(&comps),
+        &SaConfig::paper(),
+        &DefectMap::pristine(),
+        &Budget::unlimited(),
+    )
+    .expect("places");
     println!(
         "  energy {:.1} on {}",
         energy(&placement, &nets),
@@ -62,8 +77,17 @@ fn main() {
     );
 
     println!("\n== 4. Conflict-free routing (Eq. (5)) ==");
-    let routing =
-        route_dcsa(&sched, graph, &placement, &wash, &RouterConfig::paper()).expect("routes");
+    let routing = route_dcsa(
+        &sched,
+        graph,
+        &placement,
+        &wash,
+        &RouterConfig::paper(),
+        &DefectMap::pristine(),
+        &Budget::unlimited(),
+        &mut SearchScratch::new(),
+    )
+    .expect("routes");
     println!("  {routing}");
     println!("{}", render_ascii(&placement, &comps, Some(&routing)));
 
